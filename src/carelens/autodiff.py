@@ -203,14 +203,27 @@ def matmul(a, b) -> Var:
     return out
 
 
+def _selects_once(key) -> bool:
+    """Whether ``key`` is basic indexing (ints, slices, None, ...), which
+    selects every element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def take(a: Var, key) -> Var:
     """a[key] with scatter-add backward."""
     out = Var(a.data[key], (a,))
+    once = _selects_once(key)
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, key, g)
+        if once:
+            a.grad[key] += g
+        else:
+            np.add.at(a.grad, key, g)
 
     out._backward = bwd
     return out
@@ -303,12 +316,9 @@ def concat(vars_: Iterable, axis: int = -1) -> Var:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Var:

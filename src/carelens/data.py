@@ -9,8 +9,11 @@ line is one case::
 
 Timestamps are hours since the first visit (so ``t`` starts at 0 and is
 strictly increasing).  ``values`` may also be an object keyed by feature
-name; names missing from the header are an error.  Cases that violate the
-schema invariants are skipped with a logged diagnostic naming the case id.
+name; names missing from the header are an error.  Labels are the JSON
+integers 0 or 1.  Cases that violate the schema invariants are skipped with
+a logged diagnostic naming the case id; a case line that is not a JSON
+object is skipped the same way, named ``line <k>`` (1-based file line).  A
+malformed header aborts the load.
 """
 
 from __future__ import annotations
@@ -150,23 +153,40 @@ def _parse_values(raw, feature_names: list[str], case_id: str) -> list[float]:
     return [float(v) for v in raw]
 
 
+def _parse_label(raw, case_id: str) -> int:
+    # bool is an int subclass, so JSON true would pass as 1 without this
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw not in (0, 1):
+        raise ValueError(f"case {case_id}: label must be the integer 0 or 1, "
+                         f"got {raw!r}")
+    return raw
+
+
 def load_dataset(path) -> Dataset:
-    """Parse a dataset file; invalid cases are skipped and recorded in
-    ``rejects`` with a diagnostic."""
+    """Parse a dataset file; invalid cases, and case lines that are not a
+    JSON object, are skipped and recorded in ``rejects`` with a diagnostic
+    (keyed by case id, or by ``line <k>`` when the line has no usable id)."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
+        lines = [(k, ln) for k, ln in enumerate((l.strip() for l in fh), 1) if ln]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
     try:
+        header = json.loads(lines[0][1])
         feature_names = list(header["feature_names"])
         baseline_names = list(header["baseline_names"])
-    except (KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header line") from exc
     ds = Dataset(feature_names, baseline_names, [])
     seen: set[str] = set()
-    for ln in lines[1:]:
-        obj = json.loads(ln)
+    for k, ln in lines[1:]:
+        try:
+            obj = json.loads(ln)
+            if not isinstance(obj, dict):
+                raise ValueError(f"got {type(obj).__name__}")
+        except ValueError as exc:
+            line_id = f"line {k}"
+            log.warning("rejected %s: not a JSON object: %s", line_id, exc)
+            ds.rejects.append((line_id, f"{line_id}: not a JSON object: {exc}"))
+            continue
         case_id = str(obj.get("id", "<missing id>"))
         try:
             if case_id in seen:
@@ -182,7 +202,7 @@ def load_dataset(path) -> Dataset:
                 timestamps=np.array(ts, dtype=np.float64),
                 records=np.array(vals, dtype=np.float64).T
                         if vals else np.zeros((len(feature_names), 0)),
-                label=int(obj["label"]))
+                label=_parse_label(obj["label"], case_id))
             case.validate(len(feature_names), len(baseline_names))
         except DatasetFormatError:
             raise

@@ -61,34 +61,97 @@ def decay_rate(beta_raw) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(beta_raw, dtype=np.float64)) + DECAY_FLOOR
 
 
-def gru_forward_batch(x, p: dict[str, Var]) -> Var:
-    """Scalar-input GRU over a (B, T) series; returns hidden states (B, T, d).
+def _sum_from_last(parts: np.ndarray) -> np.ndarray:
+    """parts[-1] + parts[-2] + ... + parts[0], added in that order."""
+    total = parts[-1].copy()
+    for part in parts[-2::-1]:
+        total += part
+    return total
 
-    Gate convention: h_t = (1 - z_t) * h_{t-1} + z_t * cand_t, with the reset
-    gate applied to the previous state inside the candidate.
+
+def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Var:
+    """Run every feature's scalar-input GRU over its row of (B, N, T) records.
+
+    ``channels[n]`` holds channel n's ``W_*``, ``U_*`` and ``b_*`` leaves.
+    Returns one tape node with the hidden states of all N channels,
+    shape (N, B, T, d).  Gate convention: h_t = (1 - z_t) * h_{t-1} +
+    z_t * cand_t, with the reset gate applied to the previous state inside
+    the candidate.
+
+    The forward pass steps through time once for all channels with
+    (N, B, d) @ (N, d, d) matmuls; the backward pass is hand-written BPTT.
+    Both repeat, operation for operation, what a per-step composition of
+    tape ops computes, and the backward pass adds the partial gradients in
+    the order ``Var.backward`` would, so every value and gradient is bit
+    for bit that of the composed recurrence.
     """
-    x = ad.as_var(x)
-    b_size, t_len = x.shape
-    d = p["b_z"].shape[0]
-    w_z, w_r, w_h = (ad.transpose(p[f"W_{g}"]) for g in GATES)   # (1, d)
-    u_z, u_r, u_h = (ad.transpose(p[f"U_{g}"]) for g in GATES)   # (d, d)
-    h = Var(np.zeros((b_size, d)))
-    states = []
+    records = np.asarray(records, dtype=np.float64)
+    b_size, _, t_len = records.shape
+    leaves = {(w, g): [ch[f"{w}_{g}"] for ch in channels]
+              for w in ("W", "U", "b") for g in GATES}
+    w_in = np.stack([[v.data[:, 0] for v in leaves["W", g]] for g in GATES])  # (3, N, d)
+    u = np.stack([[v.data for v in leaves["U", g]] for g in GATES])         # (3, N, d, d)
+    bias = np.stack([[v.data for v in leaves["b", g]] for g in GATES])[:, :, None, :]
+    u_t = np.swapaxes(u, -1, -2)        # the transposed views a composed h @ U^T uses
+    d = u.shape[-1]
+    x = records.transpose(2, 1, 0)                                  # (T, N, B)
+    # a width-one matmul is one exact product, so x_t @ W^T is this
+    xw = x[:, None, :, :, None] * w_in[None, :, :, None, :]         # (T, 3, N, B, d)
+    hs = np.zeros((t_len + 1, len(channels), b_size, d))            # hs[t] = h_{t-1}
+    acts = np.empty((t_len, 3, len(channels), b_size, d))           # z, r, cand
     for t in range(t_len):
-        xt = x[:, t:t + 1]
-        z = ad.sigmoid(xt @ w_z + h @ u_z + p["b_z"])
-        r = ad.sigmoid(xt @ w_r + h @ u_r + p["b_r"])
-        cand = ad.tanh(xt @ w_h + (r * h) @ u_h + p["b_h"])
-        h = (1.0 - z) * h + z * cand
-        states.append(h)
-    return ad.stack(states, axis=1)
+        h = hs[t]
+        z, r, cand = acts[t]
+        z[...] = ad._sigmoid((xw[t, 0] + h @ u_t[0]) + bias[0])
+        r[...] = ad._sigmoid((xw[t, 1] + h @ u_t[1]) + bias[1])
+        cand[...] = np.tanh((xw[t, 2] + (r * h) @ u_t[2]) + bias[2])
+        hs[t + 1] = (1.0 - z) * h + z * cand
+    out = Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
+              tuple(v for vs in leaves.values() for v in vs))
+
+    def bwd(grad):
+        d_pre = np.empty_like(acts)     # gradients of the gate pre-activations
+        dh = grad[:, :, -1]
+        for t in range(t_len - 1, -1, -1):
+            h = hs[t]
+            z, r, cand = acts[t]
+            dp_z, dp_r, dp_h = d_pre[t]
+            np.multiply(dh * z, 1.0 - cand * cand, out=dp_h)
+            drh = dp_h @ u[2]
+            np.multiply(drh * h * r, 1.0 - r, out=dp_r)
+            # z feeds 1 - z and z * cand; a sum of two terms has no order
+            np.multiply((dh * cand - dh * h) * z, 1.0 - z, out=dp_z)
+            if t:
+                # h_{t-1} feeds the output, (1 - z) * h, h @ U_z^T, r * h and
+                # h @ U_r^T; the tape adds their gradients in that order
+                dh = grad[:, :, t - 1] + dh * (1.0 - z)
+                dh += dp_z @ u[0]
+                dh += drh * r
+                dh += dp_r @ u[1]
+        h_rows = np.swapaxes(hs[:-1], -1, -2)
+        lhs = (h_rows, h_rows, np.swapaxes(acts[:, 1] * hs[:-1], -1, -2))
+        x_rows = x[:, :, None, :]                                   # (T, N, 1, B)
+        # per-step weight gradients, summed from the last step down as the
+        # tape does, then added to the leaves once
+        for i, g in enumerate(GATES):
+            dp = d_pre[:, i]
+            d_w = _sum_from_last(x_rows @ dp)                       # (N, 1, d)
+            d_u = _sum_from_last(lhs[i] @ dp)                       # (N, d, d)
+            d_b = _sum_from_last(dp.sum(axis=2))                    # (N, d)
+            for n in range(len(channels)):
+                leaves["W", g][n]._accumulate(d_w[n].T)
+                leaves["U", g][n]._accumulate(d_u[n].T)
+                leaves["b", g][n]._accumulate(d_b[n])
+
+    out._backward = bwd
+    return out
 
 
 def gru_forward(series, p: dict[str, Var]) -> Var:
     """Single-case wrapper: (T,) series -> (T, d) hidden states."""
     series = np.asarray(series, dtype=np.float64)
-    out = gru_forward_batch(series[None, :], p)
-    return ad.reshape(out, out.shape[1:])
+    out = gru_forward_batch(series[None, None, :], [p])
+    return ad.reshape(out, out.shape[2:])
 
 
 def time_damped_scores(c: Var, delta: np.ndarray, beta: Var) -> Var:
@@ -153,12 +216,12 @@ def build_feature_matrix(case: PatientCase, lv: dict[str, Var], n_features: int,
     Returns the (N+1, d) matrix and the per-feature attention weights.
     """
     delta = (case.timestamps[-1] - case.timestamps)[None, :]
+    channels = [channel_leaves(lv, n) for n in range(n_features)]
+    hidden = gru_forward_batch(case.records[None], channels)
     rows = []
     alphas = []
-    for n in range(n_features):
-        p = channel_leaves(lv, n)
-        hidden = gru_forward_batch(case.records[n][None, :], p)
-        f, alpha = time_aware_attention_batch(hidden, delta, p, time_aware)
+    for n, p in enumerate(channels):
+        f, alpha = time_aware_attention_batch(hidden[n], delta, p, time_aware)
         rows.append(ad.reshape(f, (f.shape[1],)))
         alphas.append(alpha.data[0])
     rows.append(embed_baseline(case.baseline, lv["baseline.W_emb"]))

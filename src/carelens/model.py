@@ -10,7 +10,7 @@ penalty something to work with.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
@@ -88,11 +88,11 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     trace holds per-feature attention weights, per-head attention matrices,
     and final attention weights as plain arrays.
     """
+    channels = [channel_leaves(lv, n) for n in range(cfg.n_features)]
+    hidden = gru_forward_batch(records, channels)          # (N, B, T, d)
     rows, ta_alphas = [], []
-    for n in range(cfg.n_features):
-        p = channel_leaves(lv, n)
-        hidden = gru_forward_batch(records[:, n, :], p)
-        f, alpha = time_aware_attention_batch(hidden, delta, p, cfg.time_aware)
+    for n, p in enumerate(channels):
+        f, alpha = time_aware_attention_batch(hidden[n], delta, p, cfg.time_aware)
         rows.append(f)
         ta_alphas.append(alpha)
     rows.append(embed_baseline_batch(baseline, lv["baseline.W_emb"]))
@@ -109,16 +109,20 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     return prob, decorr, trace
 
 
+def _visit_count_groups(cases: list[PatientCase]) -> list[list[int]]:
+    """Positions of ``cases`` grouped by visit count, shortest first."""
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(cases):
+        groups.setdefault(c.n_visits, []).append(i)
+    return [groups[t_len] for t_len in sorted(groups)]
+
+
 def score_cases(store: ParamStore, cfg: ModelConfig,
                 cases: list[PatientCase]) -> np.ndarray:
     """Probabilities for arbitrary cases, batched internally by visit count."""
     lv = store.leaves()
     out = np.empty(len(cases))
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(cases):
-        groups.setdefault(c.n_visits, []).append(i)
-    for t_len in sorted(groups):
-        idx = groups[t_len]
+    for idx in _visit_count_groups(cases):
         records, delta, baseline, _ = batch_tensors([cases[i] for i in idx])
         prob, _, _ = forward_batch(lv, records, delta, baseline, cfg)
         out[idx] = prob.data
@@ -146,17 +150,20 @@ class FittedModel:
                              f"{self.baseline_names}, dataset has "
                              f"{dataset.baseline_names}")
 
-    def _prepared(self, dataset: Dataset) -> Dataset:
+    def _prepared(self, dataset: Dataset, ids: list[str] | None
+                  ) -> list[PatientCase]:
+        """The cases of ``ids`` (default: every case), normalised."""
         self.check_compatible(dataset)
-        if self.normalization is None:
-            return dataset
-        return apply_normalization(dataset, self.normalization)
+        if ids is not None:
+            dataset = replace(dataset, cases=dataset.subset(ids))
+        if self.normalization is not None:
+            dataset = apply_normalization(dataset, self.normalization)
+        return dataset.cases
 
     def score(self, dataset: Dataset, ids: list[str] | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, labels) for ``ids`` (default: every case)."""
-        ds = self._prepared(dataset)
-        cases = ds.cases if ids is None else ds.subset(ids)
+        cases = self._prepared(dataset, ids)
         labels = np.array([c.label for c in cases], dtype=np.int64)
         return score_cases(self.store, self.config, cases), labels
 
@@ -168,19 +175,22 @@ class FittedModel:
 
     def trace_cases(self, dataset: Dataset, ids: list[str] | None = None
                     ) -> list[dict]:
-        """Per-case attention traces on a raw dataset."""
-        ds = self._prepared(dataset)
-        cases = ds.cases if ids is None else ds.subset(ids)
+        """Per-case attention traces on a raw dataset, in ``ids`` order.
+
+        One forward pass per visit count, as in ``score_cases``.
+        """
+        cases = self._prepared(dataset, ids)
         lv = self.store.leaves()
-        out = []
-        for c in cases:
-            records, delta, baseline, _ = batch_tensors([c])
+        out: list[dict] = [{} for _ in cases]
+        for idx in _visit_count_groups(cases):
+            records, delta, baseline, _ = batch_tensors([cases[i] for i in idx])
             _, _, tr = forward_batch(lv, records, delta, baseline,
                                      self.config, collect_trace=True)
-            out.append({"id": c.id, "label": c.label,
-                        "ta_alphas": [a[0] for a in tr["ta_alphas"]],
-                        "head_attn": np.stack([a[0] for a in tr["head_attn"]]),
-                        "final_alpha": tr["final_alpha"][0]})
+            for j, i in enumerate(idx):
+                out[i] = {"id": cases[i].id, "label": cases[i].label,
+                          "ta_alphas": [a[j] for a in tr["ta_alphas"]],
+                          "head_attn": np.stack([a[j] for a in tr["head_attn"]]),
+                          "final_alpha": tr["final_alpha"][j]}
         return out
 
 
@@ -209,10 +219,26 @@ def load_model(path) -> FittedModel:
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
     cfg = ModelConfig(**doc["config"])
+    cfg.validate()
+    params = doc["params"]
+    expected = init_params(cfg, 0)
+    for name, e in expected.items():
+        if name not in params:
+            raise ValueError(f"{path}: missing parameter '{name}'")
+        if list(params[name]["shape"]) != list(e.value.shape):
+            raise ValueError(f"{path}: parameter '{name}' has shape "
+                             f"{params[name]['shape']}, the config needs "
+                             f"{list(e.value.shape)}")
+    extra = sorted(set(params) - set(expected.names()))
+    if extra:
+        raise ValueError(f"{path}: unexpected parameter '{extra[0]}'")
     store = ParamStore()
-    for name, spec in doc["params"].items():
-        store.add(name, np.array(spec["data"],
-                                 dtype=np.float64).reshape(spec["shape"]))
+    for name, spec in params.items():
+        try:
+            value = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
+        store.add(name, value)
     norm = (None if doc["normalization"] is None
             else Normalization.from_json(doc["normalization"]))
     return FittedModel(store, cfg, list(doc["feature_names"]),

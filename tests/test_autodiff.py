@@ -234,6 +234,30 @@ def test_sigmoid_extreme_inputs_finite():
     assert y[0] == 0.0 and y[-1] == 1.0 and y[2] == 0.5
 
 
+def masked_sigmoid(x):
+    """Sigmoid evaluated on each sign's own branch through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_branch_free_sigmoid_is_bitwise_the_masked_form():
+    rng = np.random.default_rng(27)
+    x = np.concatenate([rng.normal(scale=s, size=250_000)
+                        for s in (1.0, 10.0, 100.0, 1000.0)])
+    assert np.array_equal(ad._sigmoid(x), masked_sigmoid(x))
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 708.0, -708.0, 710.0,
+                      -710.0, -746.0, 1e308, -1e308, np.inf, -np.inf])
+    with np.errstate(over="ignore"):
+        want = masked_sigmoid(edges)
+    assert np.array_equal(ad._sigmoid(edges), want)
+    batch = rng.normal(scale=5.0, size=(4, 64, 16))
+    assert np.array_equal(ad._sigmoid(batch), masked_sigmoid(batch))
+
+
 def test_clip_clamps_and_blocks_gradient_outside():
     x = ad.Var([-2.0, 0.3, 2.0])
     y = ad.clip(x, -1.0, 1.0)

@@ -161,6 +161,37 @@ def test_blank_lines_are_ignored(tmp_path):
     assert load_dataset(tmp_path / "d.jsonl").ids() == ["p1"]
 
 
+
+def test_malformed_json_line_is_rejected_by_line_number(tmp_path):
+    good = json.dumps(case_line("p1", [0.0], [[1], [2]]))
+    text = "\n".join([json.dumps(HEADER), good, "", "{not json", "[1, 2]",
+                      good.replace("p1", "p2")]) + "\n"
+    (tmp_path / "d.jsonl").write_text(text, encoding="utf-8")
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == ["p1", "p2"]
+    assert [rid for rid, _ in ds.rejects] == ["line 4", "line 5"]
+    assert "line 4" in ds.rejects[0][1] and "JSON" in ds.rejects[0][1]
+    assert "line 5" in ds.rejects[1][1]
+
+
+def test_malformed_header_line_names_the_path(tmp_path):
+    p = tmp_path / "h.jsonl"
+    p.write_text("{not json\n" + json.dumps(case_line("p1", [0.0], [[1], [2]]))
+                 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="h.jsonl.*header"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("label", [0.9, 1.0, "1", True, False, None, 2, -1])
+def test_label_must_be_the_integer_zero_or_one(tmp_path, label):
+    write_file(tmp_path / "d.jsonl",
+               [HEADER, case_line("odd", [0.0], [[1], [2]], label=label),
+                case_line("ok", [0.0], [[1], [2]], label=1)])
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == ["ok"] and ds.cases[0].label == 1
+    assert [rid for rid, _ in ds.rejects] == ["odd"]
+    assert "case odd" in ds.rejects[0][1] and "label" in ds.rejects[0][1]
+
 # -- normalization ------------------------------------------------------------
 
 

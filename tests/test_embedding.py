@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from carelens import autodiff as ad
 from carelens import embedding as emb
+from carelens import model
 from carelens.data import PatientCase
+from carelens.head import cross_entropy
+from carelens.model import ModelConfig, init_params
 from carelens.optim import ParamStore, grad_check
 
 
@@ -40,6 +44,33 @@ def gru_oracle(series, p):
         h = (1.0 - z) * h + z * cand
         out.append(h)
     return np.stack(out)
+
+
+def composed_gru(x, p):
+    """The recurrence built one time step at a time from scalar tape ops:
+    (B, T) series -> (B, T, d) hidden states.  The fused op must reproduce
+    its values and gradients bit for bit."""
+    x = ad.as_var(x)
+    b_size, t_len = x.shape
+    d = p["b_z"].shape[0]
+    w_z, w_r, w_h = (ad.transpose(p[f"W_{g}"]) for g in emb.GATES)   # (1, d)
+    u_z, u_r, u_h = (ad.transpose(p[f"U_{g}"]) for g in emb.GATES)   # (d, d)
+    h = ad.Var(np.zeros((b_size, d)))
+    states = []
+    for t in range(t_len):
+        xt = x[:, t:t + 1]
+        z = ad.sigmoid(xt @ w_z + h @ u_z + p["b_z"])
+        r = ad.sigmoid(xt @ w_r + h @ u_r + p["b_r"])
+        cand = ad.tanh(xt @ w_h + (r * h) @ u_h + p["b_h"])
+        h = (1.0 - z) * h + z * cand
+        states.append(h)
+    return ad.stack(states, axis=1)
+
+
+def composed_gru_forward_batch(records, channels):
+    """Drop-in for ``gru_forward_batch`` built on ``composed_gru``."""
+    return ad.stack([composed_gru(records[:, n, :], p)
+                     for n, p in enumerate(channels)], axis=0)
 
 
 # -- GRU ----------------------------------------------------------------------
@@ -79,10 +110,46 @@ def test_gru_batch_rows_independent():
     p = emb.channel_leaves(store.leaves(), 0)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 5))
-    batch = emb.gru_forward_batch(x, p).data
+    batch = emb.gru_forward_batch(x[:, None, :], [p]).data[0]
     for b in range(3):
         npt.assert_allclose(batch[b], emb.gru_forward(x[b], p).data,
                             atol=1e-13, rtol=0)
+
+
+FUSED_SHAPES = [(4, 64, 16, 16), (1, 1, 1, 4), (3, 5, 7, 8), (4, 37, 24, 16),
+                (2, 1, 9, 6)]
+
+
+@pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
+def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
+                                                      b_size, t_len, d):
+    cfg = ModelConfig(n_features=n_feat, n_baseline=3, d=d, heads=2)
+    store = init_params(cfg, seed=n_feat * 100 + t_len)
+    rng = np.random.default_rng(b_size * 7 + t_len)
+    records = 1.5 * rng.normal(size=(b_size, n_feat, t_len))
+    ts = np.cumsum(rng.uniform(0.5, 30.0, size=(b_size, t_len)), axis=1)
+    delta = ts[:, -1:] - ts
+    baseline = rng.normal(size=(b_size, 3))
+    labels = rng.integers(0, 2, size=b_size).astype(np.float64)
+
+    channels = [emb.channel_leaves(store.leaves(), n) for n in range(n_feat)]
+    npt.assert_array_equal(emb.gru_forward_batch(records, channels).data,
+                           composed_gru_forward_batch(records, channels).data)
+
+    def loss_grads():
+        store.zero_grad()
+        prob, decorr, _ = model.forward_batch(store.leaves(), records, delta,
+                                              baseline, cfg)
+        (cross_entropy(prob, labels) + decorr).backward()
+        return prob.data, {n: e.grad.copy() for n, e in store.items()}
+
+    prob, grads = loss_grads()
+    monkeypatch.setattr(model, "gru_forward_batch", composed_gru_forward_batch)
+    prob_ref, grads_ref = loss_grads()
+    npt.assert_array_equal(prob, prob_ref)
+    for name, g in grads_ref.items():
+        assert np.array_equal(grads[name], g), name
+    assert any(np.abs(g).max() > 0 for n, g in grads.items() if ".gru." in n)
 
 
 def test_gru_saturated_update_gate_freezes_state():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from carelens.data import Dataset, PatientCase
+from carelens.data import (Dataset, PatientCase, apply_normalization,
+                           fit_normalization)
 from carelens.head import PROB_CLAMP
 from carelens.model import (FittedModel, ModelConfig, batch_tensors,
                             forward_batch, init_params, load_model,
@@ -178,6 +180,54 @@ def test_load_model_rejects_other_files(tmp_path):
         load_model(path)
 
 
+def _saved_model_doc(tmp_path, d=12, heads=2):
+    ds, _ = generate_synthetic(SyntheticSpec(n_cases=6, seed=5))
+    cfg = ModelConfig(n_features=ds.n_features, n_baseline=ds.n_baseline,
+                      d=d, heads=heads)
+    path = tmp_path / "model.json"
+    save_model(FittedModel(init_params(cfg, 18), cfg, ds.feature_names,
+                           ds.baseline_names), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_load_model_rejects_a_missing_weight(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    del doc["params"]["encoder.ffn.b_1"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="missing parameter 'encoder.ffn.b_1'"):
+        load_model(path)
+
+
+def test_load_model_rejects_weights_that_do_not_fit_the_config(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"]["heads"] = 3
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="parameter 'encoder.head"):
+        load_model(path)
+    path, doc = _saved_model_doc(tmp_path)
+    doc["params"]["channel1.gru.U_r"]["shape"] = [4, 36]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="'channel1.gru.U_r' has shape"):
+        load_model(path)
+    path, doc = _saved_model_doc(tmp_path)
+    doc["params"]["baseline.W_emb"]["data"].pop()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="parameter 'baseline.W_emb': cannot reshape"):
+        load_model(path)
+    path, doc = _saved_model_doc(tmp_path)
+    doc["params"]["extra.W"] = {"shape": [1], "data": [0.0]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected parameter 'extra.W'"):
+        load_model(path)
+
+
+def test_load_model_validates_the_config(tmp_path):
+    path, doc = _saved_model_doc(tmp_path, d=16)
+    doc["config"]["heads"] = 3
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="not divisible"):
+        load_model(path)
+
 def test_score_rejects_mismatched_schema():
     ds, _ = generate_synthetic(SyntheticSpec(n_cases=6, seed=2))
     cfg = ModelConfig(n_features=ds.n_features, n_baseline=ds.n_baseline,
@@ -213,3 +263,49 @@ def test_trace_cases_order_and_fields():
         assert t["head_attn"].shape == (2, p_len, p_len)
         assert t["final_alpha"].shape == (p_len,)
         assert len(t["ta_alphas"]) == ds.n_features
+
+
+def _normalized_model(n_cases, seed):
+    ds, _ = generate_synthetic(SyntheticSpec(n_cases=n_cases, seed=seed))
+    cfg = ModelConfig(n_features=ds.n_features, n_baseline=ds.n_baseline,
+                      d=8, heads=2)
+    norm = fit_normalization(ds, ds.ids())
+    return ds, FittedModel(init_params(cfg, seed), cfg, ds.feature_names,
+                           ds.baseline_names, norm)
+
+
+def test_batched_traces_equal_per_case_traces_in_ids_order():
+    ds, model = _normalized_model(40, seed=19)
+    ids = ds.ids()[::-1][:25]
+    assert len({ds.case(i).n_visits for i in ids}) > 3
+    traces = model.trace_cases(ds, ids)
+    assert [t["id"] for t in traces] == ids
+    for tr in traces:
+        one, = model.trace_cases(ds, [tr["id"]])
+        assert tr["label"] == one["label"]
+        for a, b in zip(tr["ta_alphas"], one["ta_alphas"]):
+            npt.assert_allclose(a, b, atol=1e-12, rtol=0)
+        npt.assert_allclose(tr["head_attn"], one["head_attn"], atol=1e-12, rtol=0)
+        npt.assert_allclose(tr["final_alpha"], one["final_alpha"],
+                            atol=1e-12, rtol=0)
+
+
+def test_score_normalizes_only_the_selected_cases(monkeypatch):
+    import carelens.model as model_mod
+
+    ds, model = _normalized_model(30, seed=20)
+    ids = ds.ids()[3:10]
+    whole = apply_normalization(ds, model.normalization)
+    want = score_cases(model.store, model.config, whole.subset(ids))
+    seen = []
+
+    def spy(dataset, norm):
+        seen.append(len(dataset))
+        return apply_normalization(dataset, norm)
+
+    monkeypatch.setattr(model_mod, "apply_normalization", spy)
+    got, labels = model.score(ds, ids)
+    assert np.array_equal(got, want)
+    npt.assert_array_equal(labels, [ds.case(i).label for i in ids])
+    model.trace_cases(ds, ids)
+    assert seen == [len(ids), len(ids)]

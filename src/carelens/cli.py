@@ -145,10 +145,15 @@ def cmd_eval(args) -> int:
     scores, labels = model.score(dataset)
     report = bootstrap_eval(scores, labels, int(opts["bootstrap"]),
                             int(opts["seed"]))
+    scored = {"n_cases": len(labels), "n_rejected": len(dataset.rejects),
+              "prevalence": float(np.mean(labels))}
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
+        json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
     _write_resolved(out, "eval", opts, model=args.model, data=args.data, out=out)
+    print(f"scored {scored['n_cases']} cases ({scored['n_rejected']} rejected), "
+          f"prevalence {scored['prevalence']:.3f}")
     print(report.format_table())
     return 0
 

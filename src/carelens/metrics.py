@@ -2,7 +2,8 @@
 
 Tie handling is deterministic and documented per metric: AUROC gives half
 credit to score ties; AUPRC and min(Se, P+) sweep distinct scores in
-descending order, so tied cases enter a threshold as one group.
+descending order, so tied cases enter a threshold as one group.  All three
+come from one kernel that sorts each row once.
 """
 
 from __future__ import annotations
@@ -19,79 +20,73 @@ def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("scores and labels must be equal-length 1-D and non-empty")
     if np.isnan(s).any():
         raise ValueError("NaN score")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
     return s, y.astype(np.int64)
 
 
-def _descending_groups(s: np.ndarray, y: np.ndarray):
-    """Yield (tp, fp) cumulative counts after each distinct score group,
-    walking scores high to low."""
-    order = np.argsort(-s, kind="mergesort")
-    tp = fp = 0
-    i = 0
-    n = s.shape[0]
-    while i < n:
-        j = i
-        while j < n and s[order[j]] == s[order[i]]:
-            if y[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        yield tp, fp
-        i = j
+# bootstrap_eval scores replicates in (rows, n) blocks of about this many cells
+_BLOCK_CELLS = 2 ** 15
+
+
+def _sweep(S: np.ndarray, Y: np.ndarray):
+    """(auroc, ap, min_se) per row of (R, n) scores ``S`` and 0/1 labels ``Y``.
+
+    One stable descending sort per row; tp/fp are read at the ends of the
+    tied groups.  The result is exact to the last bit of a per-group loop:
+    the counts and the Mann-Whitney U are exact in float64, so AUROC is one
+    rounded division; AP adds its terms in sweep order (``cumsum`` is
+    sequential, and the 0.0 added off the group ends is exact); max and min
+    are exact."""
+    rows, n = S.shape
+    flat = np.argsort(-S, axis=1, kind="stable") + np.arange(0, rows * n, n)[:, None]
+    s = S.ravel()[flat]
+    tp = np.cumsum(Y.ravel()[flat], axis=1)
+    flagged = np.arange(1, n + 1)
+    fp = flagged - tp
+    end = np.ones(S.shape, dtype=bool)
+    end[:, :-1] = s[:, 1:] != s[:, :-1]
+    # counts at the previous group end; tp and fp never fall, so a running max
+    prev_tp, prev_fp = np.zeros_like(tp), np.zeros_like(fp)
+    prev_tp[:, 1:] = np.maximum.accumulate(np.where(end, tp, 0), axis=1)[:, :-1]
+    prev_fp[:, 1:] = np.maximum.accumulate(np.where(end, fp, 0), axis=1)[:, :-1]
+    dtp, dfp = tp - prev_tp, fp - prev_fp
+    pos, neg = tp[:, -1:], fp[:, -1:]
+    u = np.where(end, dfp * (prev_tp + dtp / 2), 0.0).sum(axis=1)
+    with np.errstate(invalid="ignore"):      # 0/0 when a row has no negative
+        auc = u / (pos * neg)[:, 0]
+    precision = tp / flagged
+    ap = np.cumsum(np.where(end & (dtp > 0), dtp / pos * precision, 0.0), axis=1)
+    min_se = np.where(end, np.minimum(tp / pos, precision), 0.0).max(axis=1)
+    return auc, ap[:, -1], min_se
 
 
 def auroc(scores, labels) -> float:
-    """Probability a positive outranks a negative, ties worth 1/2.
-
-    Computed from average ranks; undefined unless both classes appear.
-    """
+    """Probability a positive outranks a negative, ties worth 1/2: the
+    Mann-Whitney U over pos*neg.  Undefined unless both classes appear."""
     s, y = _checked(scores, labels)
     pos = int(y.sum())
-    neg = y.size - pos
-    if pos == 0 or neg == 0:
+    if pos == 0 or pos == y.size:
         raise ValueError("undefined AUROC: needs both classes")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(y.size)
-    i = 0
-    while i < y.size:
-        j = i
-        while j < y.size and s[order[j]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)   # average of ranks i+1 .. j
-        i = j
-    return float((ranks[y == 1].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+    return float(_sweep(s[None], y[None])[0][0])
 
 
 def auprc(scores, labels) -> float:
     """Average precision: sum of precision x recall-increment over the
     descending-score sweep.  Needs at least one positive."""
     s, y = _checked(scores, labels)
-    pos = int(y.sum())
-    if pos == 0:
+    if y.sum() == 0:
         raise ValueError("undefined AUPRC: needs at least one positive")
-    ap = 0.0
-    tp_prev = 0
-    for tp, fp in _descending_groups(s, y):
-        if tp > tp_prev:
-            ap += (tp - tp_prev) / pos * (tp / (tp + fp))
-        tp_prev = tp
-    return float(ap)
+    return float(_sweep(s[None], y[None])[1][0])
 
 
 def min_se_pplus(scores, labels) -> float:
     """Best achievable min(sensitivity, precision) over thresholds at the
     distinct observed scores (predict positive when score >= threshold)."""
     s, y = _checked(scores, labels)
-    pos = int(y.sum())
-    if pos == 0:
+    if y.sum() == 0:
         raise ValueError("undefined min(Se, P+): needs at least one positive")
-    best = 0.0
-    for tp, fp in _descending_groups(s, y):
-        best = max(best, min(tp / pos, tp / (tp + fp)))
-    return float(best)
+    return float(_sweep(s[None], y[None])[2][0])
 
 
 METRICS = {"auroc": auroc, "auprc": auprc, "min_se_pplus": min_se_pplus}
@@ -151,14 +146,19 @@ def bootstrap_eval(scores, labels, reps: int, seed: int) -> EvalReport:
         raise ValueError("bootstrap needs both classes in the sample")
     points = {name: fn(s, y) for name, fn in METRICS.items()}
     rng = np.random.default_rng(np.random.SeedSequence([seed, reps]))
-    replicates: dict[str, list[float]] = {name: [] for name in METRICS}
-    for _ in range(reps):
-        for attempt in range(1000):
+
+    def draw() -> np.ndarray:
+        for _ in range(1000):
             idx = rng.integers(0, y.size, y.size)
             if 0 < y[idx].sum() < y.size:
-                break
-        else:
-            raise RuntimeError("bootstrap: could not draw a two-class replicate")
-        for name, fn in METRICS.items():
-            replicates[name].append(fn(s[idx], y[idx]))
+                return idx
+        raise RuntimeError("bootstrap: could not draw a two-class replicate")
+
+    rows = max(1, _BLOCK_CELLS // y.size)
+    blocks = []
+    for start in range(0, reps, rows):
+        idx = np.stack([draw() for _ in range(min(rows, reps - start))])
+        blocks.append(_sweep(s[idx], y[idx]))
+    replicates = {name: np.concatenate(parts).tolist()
+                  for name, parts in zip(METRICS, zip(*blocks))}
     return EvalReport.from_replicates(points, replicates)

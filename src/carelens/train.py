@@ -73,6 +73,10 @@ def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
     store = init_params(cfg, _derive_seed(config.seed, 1))
     val_cases = ds.subset(val_ids)
     val_labels = np.array([c.label for c in val_cases], dtype=np.int64)
+    for name, cls in (("positive", 1), ("negative", 0)):
+        if not (val_labels == cls).any():
+            raise ValueError(f"validation split has no {name} case: early "
+                             "stopping needs both classes")
 
     log: list[dict] = []
     best_val = -np.inf
@@ -143,14 +147,17 @@ def split_train_val(ids: list[str], labels: np.ndarray, val_fraction: float,
 
 def _run_fold(args) -> dict[str, float]:
     dataset, fold_idx, test_ids, rest_ids, config = args
-    labels_by_id = {c.id: c.label for c in dataset.cases}
-    rest_labels = np.array([labels_by_id[i] for i in rest_ids])
-    train_ids, val_ids = split_train_val(rest_ids, rest_labels,
-                                         config.val_fraction,
-                                         _derive_seed(config.seed, 3, fold_idx))
-    model = fit(dataset, train_ids, val_ids, config)
-    scores, labels = model.score(dataset, test_ids)
-    return {name: fn(scores, labels) for name, fn in METRICS.items()}
+    try:
+        labels_by_id = {c.id: c.label for c in dataset.cases}
+        rest_labels = np.array([labels_by_id[i] for i in rest_ids])
+        train_ids, val_ids = split_train_val(
+            rest_ids, rest_labels, config.val_fraction,
+            _derive_seed(config.seed, 3, fold_idx))
+        model = fit(dataset, train_ids, val_ids, config)
+        scores, labels = model.score(dataset, test_ids)
+        return {name: fn(scores, labels) for name, fn in METRICS.items()}
+    except Exception as exc:
+        raise RuntimeError(f"fold {fold_idx}: {exc}") from exc
 
 
 def cross_validate(dataset: Dataset, k: int, config: TrainConfig,
@@ -169,12 +176,7 @@ def cross_validate(dataset: Dataset, k: int, config: TrainConfig,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_fold, jobs))
     else:
-        results = []
-        for job in jobs:
-            try:
-                results.append(_run_fold(job))
-            except Exception as exc:
-                raise RuntimeError(f"fold {job[1]}: {exc}") from exc
+        results = [_run_fold(job) for job in jobs]
     replicates = {name: [r[name] for r in results] for name in METRICS}
     points = {name: float(np.mean(vals)) for name, vals in replicates.items()}
     return EvalReport.from_replicates(points, replicates)

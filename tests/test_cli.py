@@ -136,6 +136,28 @@ def test_eval_writes_report(tmp_path, capsys):
         assert len(report["metrics"][name]["replicates"]) == 20
 
 
+def test_eval_reports_what_it_scored(tmp_path, capsys):
+    data = gen_dir(tmp_path, capsys)
+    run_dir = train_dir(tmp_path, capsys, data)
+    path = data / "dataset.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + "[1, 2]\n")    # one line that is rejected
+    out = tmp_path / "eval"
+    code, stdout, _ = run(capsys, "eval", "--out", str(out),
+                          "--model", str(run_dir / "model.json"),
+                          "--data", str(path), "--bootstrap", "5")
+    assert code == 0
+    dataset = load_dataset(path)
+    labels = dataset.labels()
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"metrics", "n_cases", "n_rejected", "prevalence"}
+    assert report["n_cases"] == len(dataset) == 40
+    assert report["n_rejected"] == len(dataset.rejects) == 1
+    assert report["prevalence"] == float(np.mean(labels))
+    assert (f"scored 40 cases (1 rejected), prevalence "
+            f"{report['prevalence']:.3f}") in stdout
+
+
 def test_eval_rejects_mismatched_features(tmp_path, capsys):
     data = gen_dir(tmp_path, capsys)
     other = gen_dir(tmp_path, capsys, "other", extra=("--features", "6"))

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carelens.metrics import (EvalReport, MetricSummary, auprc, auroc,
                               bootstrap_eval, min_se_pplus)
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None,
+                    derandomize=True)
 
 
 def auroc_oracle(scores, labels):
@@ -252,3 +258,181 @@ def test_report_from_replicates_uses_sample_std():
     assert m.point == 0.84
     assert abs(m.mean - np.mean(reps)) < 1e-15
     assert abs(m.std - np.std(reps, ddof=1)) < 1e-15
+
+
+def test_metrics_emit_no_numpy_warning_when_a_class_is_absent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert auprc([0.1, 0.9], [1, 1]) == 1.0
+        assert min_se_pplus([0.1, 0.9], [1, 1]) == 1.0
+
+
+# -- the per-replicate loops the one-sort kernel replaced ---------------------------
+
+
+def _descending_groups(s, y):
+    """Yield (tp, fp) cumulative counts after each distinct score group,
+    walking scores high to low."""
+    order = np.argsort(-s, kind="mergesort")
+    tp = fp = 0
+    i = 0
+    n = s.shape[0]
+    while i < n:
+        j = i
+        while j < n and s[order[j]] == s[order[i]]:
+            if y[order[j]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            j += 1
+        yield tp, fp
+        i = j
+
+
+def loop_auroc(s, y):
+    """AUROC from average ranks."""
+    pos = int(y.sum())
+    neg = y.size - pos
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(y.size)
+    i = 0
+    while i < y.size:
+        j = i
+        while j < y.size and s[order[j]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)   # average of ranks i+1 .. j
+        i = j
+    return float((ranks[y == 1].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+def loop_auprc(s, y):
+    pos = int(y.sum())
+    ap = 0.0
+    tp_prev = 0
+    for tp, fp in _descending_groups(s, y):
+        if tp > tp_prev:
+            ap += (tp - tp_prev) / pos * (tp / (tp + fp))
+        tp_prev = tp
+    return float(ap)
+
+
+def loop_min_se_pplus(s, y):
+    pos = int(y.sum())
+    best = 0.0
+    for tp, fp in _descending_groups(s, y):
+        best = max(best, min(tp / pos, tp / (tp + fp)))
+    return float(best)
+
+
+LOOP_METRICS = {"auroc": loop_auroc, "auprc": loop_auprc,
+                "min_se_pplus": loop_min_se_pplus}
+
+
+def bootstrap_oracle(scores, labels, reps, seed):
+    """``bootstrap_eval`` as it was: one draw and three loop metrics per
+    replicate, from the same stream with the same one-class redraw."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    points = {name: fn(s, y) for name, fn in LOOP_METRICS.items()}
+    rng = np.random.default_rng(np.random.SeedSequence([seed, reps]))
+    replicates = {name: [] for name in LOOP_METRICS}
+    for _ in range(reps):
+        for _ in range(1000):
+            idx = rng.integers(0, y.size, y.size)
+            if 0 < y[idx].sum() < y.size:
+                break
+        else:
+            raise RuntimeError("bootstrap: could not draw a two-class replicate")
+        for name, fn in LOOP_METRICS.items():
+            replicates[name].append(fn(s[idx], y[idx]))
+    return EvalReport.from_replicates(points, replicates)
+
+
+def assert_bootstrap_is_the_loop(s, y, reps, seed):
+    got = json.dumps(bootstrap_eval(s, y, reps, seed).to_json())
+    assert got == json.dumps(bootstrap_oracle(s, y, reps, seed).to_json())
+
+
+def score_kinds(rng, n):
+    """Continuous, quantized (ties), and a mix with +-inf and +-0.0."""
+    quantized = np.round(rng.random(n) * 8) / 8
+    special = rng.normal(size=n)
+    for value, step in ((0.0, 3), (-0.0, 5), (np.inf, 7), (-np.inf, 11)):
+        special[rng.integers(0, step)::step] = value
+    return {"continuous": rng.random(n), "quantized": quantized,
+            "special": special}
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 120, 600, 2000, 40000])
+def test_bootstrap_is_bitwise_the_per_replicate_loop(n):
+    # 40000 cases exceed the block's cells, so every block holds one row;
+    # 7 replicates never fill a whole number of blocks
+    rng = np.random.default_rng(38 + n)
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    kinds = score_kinds(rng, n)
+    if n > 600:
+        del kinds["continuous"]
+    for kind, s in kinds.items():
+        for reps in ((1, 7) if n > 2000 else (1, 7, 100)):
+            assert_bootstrap_is_the_loop(s, y, reps, seed=int(rng.integers(1000)))
+
+
+@pytest.mark.parametrize("seed", [10, *range(401, 411)])
+def test_bootstrap_is_bitwise_the_loop_on_the_benchmark_seeds(seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, 600)
+    y[:2] = [0, 1]
+    kinds = score_kinds(rng, 600)
+    s = kinds[("continuous", "quantized", "special")[seed % 3]]
+    assert_bootstrap_is_the_loop(s, y, 100, seed)
+
+
+# -- properties ------------------------------------------------------------------
+
+
+@st.composite
+def scored_cases(draw, max_n=30):
+    """Two-class labels and scores drawn from a few tie-prone values,
+    +-inf, +-0.0 and every finite float."""
+    n = draw(st.integers(2, max_n))
+    rest = draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    labels = draw(st.permutations([0, 1] + rest))
+    value = st.one_of(
+        st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]),
+        st.floats(allow_nan=False))
+    scores = draw(st.lists(value, min_size=n, max_size=n))
+    return np.array(scores), np.array(labels)
+
+
+@PROPERTY
+@given(scored_cases(), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_property_bootstrap_equals_the_loop(case, reps, seed):
+    s, y = case
+    assert_bootstrap_is_the_loop(s, y, reps, seed)
+
+
+@PROPERTY
+@given(scored_cases(), st.randoms(use_true_random=False))
+def test_property_metrics_ignore_case_order(case, rnd):
+    s, y = case
+    perm = list(range(y.size))
+    rnd.shuffle(perm)
+    for fn in (auroc, auprc, min_se_pplus):
+        assert fn(s[perm], y[perm]) == fn(s, y)
+
+
+@PROPERTY
+@given(scored_cases())
+def test_property_metrics_see_only_the_score_order(case):
+    s, y = case
+    dense = np.unique(s, return_inverse=True)[1].astype(np.float64)
+    for fn in (auroc, auprc, min_se_pplus):
+        assert fn(dense, y) == fn(s, y)
+
+
+@PROPERTY
+@given(scored_cases())
+def test_property_auroc_equals_the_pairwise_oracle(case):
+    s, y = case
+    assert auroc(s, y) == auroc_oracle(s.tolist(), y.tolist())

@@ -109,6 +109,21 @@ def test_fit_rejects_bad_splits():
         fit(ds, ids, [], quick_config())
 
 
+@pytest.mark.parametrize("missing, label", [("positive", 0), ("negative", 1)])
+def test_fit_rejects_single_class_validation_before_training(monkeypatch,
+                                                             missing, label):
+    import carelens.train as train_module
+    ds = toy_dataset(seed=14)
+    val_ids = [c.id for c in ds.cases if c.label == label][:6]
+    train_ids = [i for i in ds.ids() if i not in set(val_ids)]
+    steps = []
+    monkeypatch.setattr(train_module, "make_batches",
+                        lambda *a, **k: steps.append(a) or [])
+    with pytest.raises(ValueError, match=f"validation split has no {missing} case"):
+        fit(ds, train_ids, val_ids, quick_config())
+    assert steps == []
+
+
 def test_fit_normalizes_from_train_ids_only():
     ds = toy_dataset(seed=9)
     train_ids, val_ids = split_ids(ds, 12)
@@ -189,3 +204,14 @@ def test_cross_validate_fold_errors_name_the_fold():
         c.label = 0
     with pytest.raises(RuntimeError, match=r"fold \d"):
         cross_validate(ds, k=2, config=cfg)
+
+
+def test_cross_validate_parallel_fold_errors_name_the_fold():
+    # one positive case: whichever side of a fold's split it lands on, the
+    # validation split or the test fold lacks a class, so every fold fails
+    ds = toy_dataset(n=12, seed=15)
+    for c in ds.cases:
+        c.label = 0
+    ds.cases[0].label = 1
+    with pytest.raises(RuntimeError, match=r"^fold \d+: "):
+        cross_validate(ds, k=3, config=quick_config(max_epochs=1), workers=2)

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1 or s.size == 0:
         raise ValueError("scores and labels must be equal-length 1-D and non-empty")
     if np.isnan(s).any():
         raise ValueError("NaN score")
-    if not ((y == 0) | (y == 1)).all():
+    pos = np.count_nonzero(y == 1)
+    if pos + np.count_nonzero(y == 0) != y.size:
         raise ValueError("labels must be 0 or 1")
-    return s, y.astype(np.int64)
+    return s, y.astype(np.int64, copy=False), pos
 
 
 # bootstrap_eval scores replicates in (rows, n) blocks of about this many cells
@@ -32,40 +33,39 @@ _BLOCK_CELLS = 2 ** 15
 def _sweep(S: np.ndarray, Y: np.ndarray):
     """(auroc, ap, min_se) per row of (R, n) scores ``S`` and 0/1 labels ``Y``.
 
-    One stable descending sort per row; tp/fp are read at the ends of the
-    tied groups.  The result is exact to the last bit of a per-group loop:
-    the counts and the Mann-Whitney U are exact in float64, so AUROC is one
-    rounded division; AP adds its terms in sweep order (``cumsum`` is
-    sequential, and the 0.0 added off the group ends is exact); max and min
-    are exact."""
+    One stable descending sort per row; counts are read at the ends of tied
+    groups.  Exact to the last bit of a per-group loop: the counts and the
+    Mann-Whitney U are exact in float64, so AUROC is one rounded division;
+    AP's ``cumsum`` adds in sweep order (+0.0 off the group ends is exact);
+    max and min are exact."""
     rows, n = S.shape
-    flat = np.argsort(-S, axis=1, kind="stable") + np.arange(0, rows * n, n)[:, None]
+    flat = (-S).argsort(axis=1, kind="stable") + np.arange(0, rows * n, n)[:, None]
     s = S.ravel()[flat]
-    tp = np.cumsum(Y.ravel()[flat], axis=1)
-    flagged = np.arange(1, n + 1)
-    fp = flagged - tp
-    end = np.ones(S.shape, dtype=bool)
-    end[:, :-1] = s[:, 1:] != s[:, :-1]
-    # counts at the previous group end; tp and fp never fall, so a running max
-    prev_tp, prev_fp = np.zeros_like(tp), np.zeros_like(fp)
-    prev_tp[:, 1:] = np.maximum.accumulate(np.where(end, tp, 0), axis=1)[:, :-1]
-    prev_fp[:, 1:] = np.maximum.accumulate(np.where(end, fp, 0), axis=1)[:, :-1]
-    dtp, dfp = tp - prev_tp, fp - prev_fp
-    pos, neg = tp[:, -1:], fp[:, -1:]
-    u = np.where(end, dfp * (prev_tp + dtp / 2), 0.0).sum(axis=1)
-    with np.errstate(invalid="ignore"):      # 0/0 when a row has no negative
-        auc = u / (pos * neg)[:, 0]
-    precision = tp / flagged
-    ap = np.cumsum(np.where(end & (dtp > 0), dtp / pos * precision, 0.0), axis=1)
-    min_se = np.where(end, np.minimum(tp / pos, precision), 0.0).max(axis=1)
+    # float counts are exact; column 0 is a group end before the first case
+    tp = np.zeros((rows, n + 1))
+    Y.ravel()[flat].cumsum(axis=1, dtype=np.float64, out=tp[:, 1:])
+    k = np.arange(n + 1.0)                     # cases flagged
+    end = np.zeros(tp.shape, dtype=bool)
+    end[:, 0] = end[:, -1] = True
+    np.not_equal(s[:, 1:], s[:, :-1], out=end[:, 1:-1])
+    # tp and k at the previous group end; both only rise, so a running max
+    prev_tp = np.maximum.accumulate(tp * end, axis=1)[:, :-1]
+    prev_k = np.maximum.accumulate(k * end, axis=1)[:, :-1]
+    tp, k, end = tp[:, 1:], k[1:], end[:, 1:]
+    dtp = tp - prev_tp
+    pos = tp[:, -1:]
+    u = ((k - prev_k - dtp) * (prev_tp + dtp / 2) * end).sum(axis=1)
+    auc = u / np.maximum(pos * (n - pos), 1)[:, 0]   # 0/0 guard: auroc rejects it
+    precision = tp / k
+    ap = (dtp / pos * precision * end).cumsum(axis=1)
+    min_se = (np.minimum(tp / pos, precision) * end).max(axis=1)
     return auc, ap[:, -1], min_se
 
 
 def auroc(scores, labels) -> float:
     """Probability a positive outranks a negative, ties worth 1/2: the
     Mann-Whitney U over pos*neg.  Undefined unless both classes appear."""
-    s, y = _checked(scores, labels)
-    pos = int(y.sum())
+    s, y, pos = _checked(scores, labels)
     if pos == 0 or pos == y.size:
         raise ValueError("undefined AUROC: needs both classes")
     return float(_sweep(s[None], y[None])[0][0])
@@ -74,8 +74,8 @@ def auroc(scores, labels) -> float:
 def auprc(scores, labels) -> float:
     """Average precision: sum of precision x recall-increment over the
     descending-score sweep.  Needs at least one positive."""
-    s, y = _checked(scores, labels)
-    if y.sum() == 0:
+    s, y, pos = _checked(scores, labels)
+    if pos == 0:
         raise ValueError("undefined AUPRC: needs at least one positive")
     return float(_sweep(s[None], y[None])[1][0])
 
@@ -83,8 +83,8 @@ def auprc(scores, labels) -> float:
 def min_se_pplus(scores, labels) -> float:
     """Best achievable min(sensitivity, precision) over thresholds at the
     distinct observed scores (predict positive when score >= threshold)."""
-    s, y = _checked(scores, labels)
-    if y.sum() == 0:
+    s, y, pos = _checked(scores, labels)
+    if pos == 0:
         raise ValueError("undefined min(Se, P+): needs at least one positive")
     return float(_sweep(s[None], y[None])[2][0])
 
@@ -139,10 +139,10 @@ def bootstrap_eval(scores, labels, reps: int, seed: int) -> EvalReport:
     """Resample cases with replacement ``reps`` times and summarize each
     metric.  Replicates that lose a class are redrawn from the same stream
     (the sample must contain both classes to begin with)."""
-    s, y = _checked(scores, labels)
+    s, y, pos = _checked(scores, labels)
     if reps < 1:
         raise ValueError("reps must be positive")
-    if y.sum() in (0, y.size):
+    if pos in (0, y.size):
         raise ValueError("bootstrap needs both classes in the sample")
     points = {name: fn(s, y) for name, fn in METRICS.items()}
     rng = np.random.default_rng(np.random.SeedSequence([seed, reps]))

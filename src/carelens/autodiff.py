@@ -42,8 +42,11 @@ class Var:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: ``add`` hands one ``g`` to both parents and
+            # ``vsum`` hands on a read-only broadcast view
+            self.grad = np.array(g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Seed d(self)/d(self) = 1 and propagate to every ancestor."""
@@ -315,10 +318,11 @@ def concat(vars_: Iterable, axis: int = -1) -> Var:
 # -- nonlinearities ---------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow."""
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow;
+    written into ``out`` when given."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(a) -> Var:

@@ -137,6 +137,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _case_counts(labels, dataset) -> dict:
+    """What a command read: cases used, lines rejected, share of positives."""
+    return {"n_cases": len(labels), "n_rejected": len(dataset.rejects),
+            "prevalence": float(np.mean(labels))}
+
+
+def _format_counts(counts: dict) -> str:
+    return (f"{counts['n_cases']} cases ({counts['n_rejected']} rejected), "
+            f"prevalence {counts['prevalence']:.3f}")
+
+
 def cmd_eval(args) -> int:
     opts = _resolve(args, EVAL_OPTS)
     out = _out_dir(args)
@@ -145,15 +156,13 @@ def cmd_eval(args) -> int:
     scores, labels = model.score(dataset)
     report = bootstrap_eval(scores, labels, int(opts["bootstrap"]),
                             int(opts["seed"]))
-    scored = {"n_cases": len(labels), "n_rejected": len(dataset.rejects),
-              "prevalence": float(np.mean(labels))}
+    scored = _case_counts(labels, dataset)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
     _write_resolved(out, "eval", opts, model=args.model, data=args.data, out=out)
-    print(f"scored {scored['n_cases']} cases ({scored['n_rejected']} rejected), "
-          f"prevalence {scored['prevalence']:.3f}")
+    print(f"scored {_format_counts(scored)}")
     print(report.format_table())
     return 0
 
@@ -232,7 +241,11 @@ def cmd_inspect(args) -> int:
             mean_alpha = np.stack([t["final_alpha"] for t in traces]).mean(axis=0)
             w.writerow([f"{x:.10g}" for x in mean_alpha])
 
-    print(f"inspected {len(ids)} cases, tables in {out}")
+    counts = _case_counts([c.label for c in selected], dataset)
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(counts, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"inspected {_format_counts(counts)}, tables in {out}")
     return 0
 
 

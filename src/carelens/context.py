@@ -14,13 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .optim import uniform_init
 
 LN_EPS = 1e-5
-
-
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
 
 
 def init_encoder_params(store, d: int, n_heads: int, d_ff: int,
@@ -30,11 +26,11 @@ def init_encoder_params(store, d: int, n_heads: int, d_ff: int,
     d_k = d // n_heads
     for m in range(n_heads):
         for w in ("W_q", "W_k", "W_v"):
-            store.add(f"encoder.head{m}.{w}", _uniform(rng, (d_k, d), d))
-    store.add("encoder.W_O", _uniform(rng, (d, n_heads * d_k), n_heads * d_k))
-    store.add("encoder.ffn.W_1", _uniform(rng, (d_ff, d), d))
+            store.add(f"encoder.head{m}.{w}", uniform_init(rng, (d_k, d), d))
+    store.add("encoder.W_O", uniform_init(rng, (d, n_heads * d_k), n_heads * d_k))
+    store.add("encoder.ffn.W_1", uniform_init(rng, (d_ff, d), d))
     store.add("encoder.ffn.b_1", np.zeros(d_ff))
-    store.add("encoder.ffn.W_2", _uniform(rng, (d, d_ff), d_ff))
+    store.add("encoder.ffn.W_2", uniform_init(rng, (d, d_ff), d_ff))
     store.add("encoder.ffn.b_2", np.zeros(d))
     for ln in ("ln1", "ln2"):
         store.add(f"encoder.{ln}.gain", np.ones(d))

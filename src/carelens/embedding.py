@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .data import PatientCase
+from .optim import uniform_init
 
 GATES = ("z", "r", "h")
 DECAY_FLOOR = 0.01
@@ -26,25 +27,20 @@ DECAY_FLOOR = 0.01
 BETA_RAW_INIT = float(np.log(np.expm1(1.0 - DECAY_FLOOR)))
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
 def init_channel_params(store, n: int, d: int, rng: np.random.Generator) -> None:
     pre = f"channel{n}"
     for g in GATES:
-        store.add(f"{pre}.gru.W_{g}", _uniform(rng, (d, 1), 1))
-        store.add(f"{pre}.gru.U_{g}", _uniform(rng, (d, d), d))
+        store.add(f"{pre}.gru.W_{g}", uniform_init(rng, (d, 1), 1))
+        store.add(f"{pre}.gru.U_{g}", uniform_init(rng, (d, d), d))
         store.add(f"{pre}.gru.b_{g}", np.zeros(d))
-    store.add(f"{pre}.attn.W_q", _uniform(rng, (d, d), d))
-    store.add(f"{pre}.attn.W_k", _uniform(rng, (d, d), d))
+    store.add(f"{pre}.attn.W_q", uniform_init(rng, (d, d), d))
+    store.add(f"{pre}.attn.W_k", uniform_init(rng, (d, d), d))
     store.add(f"{pre}.attn.beta_raw", BETA_RAW_INIT)
 
 
 def init_baseline_params(store, d: int, n_baseline: int,
                          rng: np.random.Generator) -> None:
-    store.add("baseline.W_emb", _uniform(rng, (d, n_baseline), n_baseline))
+    store.add("baseline.W_emb", uniform_init(rng, (d, n_baseline), n_baseline))
 
 
 def channel_leaves(lv: dict[str, Var], n: int) -> dict[str, Var]:
@@ -99,13 +95,22 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Va
     xw = x[:, None, :, :, None] * w_in[None, :, :, None, :]         # (T, 3, N, B, d)
     hs = np.zeros((t_len + 1, len(channels), b_size, d))            # hs[t] = h_{t-1}
     acts = np.empty((t_len, 3, len(channels), b_size, d))           # z, r, cand
+    pre = np.empty((2, len(channels), b_size, d))                   # z, r inputs
     for t in range(t_len):
         h = hs[t]
         z, r, cand = acts[t]
-        z[...] = ad._sigmoid((xw[t, 0] + h @ u_t[0]) + bias[0])
-        r[...] = ad._sigmoid((xw[t, 1] + h @ u_t[1]) + bias[1])
-        cand[...] = np.tanh((xw[t, 2] + (r * h) @ u_t[2]) + bias[2])
-        hs[t + 1] = (1.0 - z) * h + z * cand
+        # (x W^T + h U^T) + b per gate; one sigmoid call for z and r
+        np.matmul(h, u_t[0], out=pre[0])
+        np.matmul(h, u_t[1], out=pre[1])
+        pre += xw[t, :2]
+        pre += bias[:2]
+        ad._sigmoid(pre, out=acts[t, :2])
+        np.matmul(r * h, u_t[2], out=cand)
+        cand += xw[t, 2]
+        cand += bias[2]
+        np.tanh(cand, out=cand)
+        np.multiply(1.0 - z, h, out=hs[t + 1])
+        hs[t + 1] += z * cand
     out = Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
               tuple(v for vs in leaves.values() for v in vs))
 
@@ -164,25 +169,38 @@ def effective_beta(p: dict[str, Var]) -> Var:
     return ad.softplus(p["beta_raw"]) + DECAY_FLOOR
 
 
-def time_aware_attention_batch(hidden: Var, delta: np.ndarray, p: dict[str, Var],
+def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
+                               channels: list[dict[str, Var]],
                                time_aware: bool = True) -> tuple[Var, Var]:
-    """Attend over (B, T, d) hidden states; returns (summary (B, d), alphas (B, T)).
+    """Attend over every channel's hidden states at once.
 
-    The query comes from the last hidden state.  ``delta`` holds hours back
-    from the newest visit; with ``time_aware=False`` the damping is frozen
-    at its dt = 0 value.
+    ``hidden`` holds (N, B, T, d) states and ``channels[n]`` channel n's
+    ``W_q``, ``W_k`` and ``beta_raw`` leaves.  Returns (summaries (N, B, d),
+    alphas (N, B, T)).  The query comes from the last hidden state.
+    ``delta`` holds (B, T) hours back from the newest visit; with
+    ``time_aware=False`` the damping is frozen at its dt = 0 value.
+
+    The channels' weights are stacked as W_q (N, d, d), W_k (N, 1, d, d) and
+    beta (N, 1, 1), so every product runs on the operands one channel alone
+    would use and every value and gradient is bit for bit the per-channel
+    one.
     """
-    b_size, t_len, d = hidden.shape
-    q = hidden[:, -1, :] @ ad.transpose(p["W_q"])            # (B, d)
-    k = hidden @ ad.transpose(p["W_k"])                      # (B, T, d)
-    c = ad.vsum(ad.reshape(q, (b_size, 1, d)) * k, axis=-1)  # (B, T)
+    n_ch, b_size, t_len, d = hidden.shape
+    w_q = ad.t2(ad.stack([p["W_q"] for p in channels]))
+    w_k = ad.t2(ad.reshape(ad.stack([p["W_k"] for p in channels]),
+                           (n_ch, 1, d, d)))
+    beta_raw = ad.reshape(ad.stack([p["beta_raw"] for p in channels]),
+                          (n_ch, 1, 1))
+    q = hidden[:, :, -1, :] @ w_q                                  # (N, B, d)
+    k = hidden @ w_k                                               # (N, B, T, d)
+    c = ad.vsum(ad.reshape(q, (n_ch, b_size, 1, d)) * k, axis=-1)  # (N, B, T)
     if not time_aware:
         delta = np.zeros((b_size, t_len))
     zeta = time_damped_scores(c, np.asarray(delta, dtype=np.float64),
-                              effective_beta(p))
+                              effective_beta({"beta_raw": beta_raw}))
     alpha = ad.softmax(zeta, axis=-1)
-    summary = ad.reshape(ad.reshape(alpha, (b_size, 1, t_len)) @ hidden,
-                         (b_size, d))
+    summary = ad.reshape(ad.reshape(alpha, (n_ch, b_size, 1, t_len)) @ hidden,
+                         (n_ch, b_size, d))
     return summary, alpha
 
 
@@ -193,8 +211,8 @@ def time_aware_attention(hidden, timestamps, p: dict[str, Var],
     t_len, d = hidden.shape
     ts = np.asarray(timestamps, dtype=np.float64)
     delta = (ts[-1] - ts)[None, :]
-    f, alpha = time_aware_attention_batch(ad.reshape(hidden, (1, t_len, d)),
-                                          delta, p, time_aware)
+    f, alpha = time_aware_attention_batch(ad.reshape(hidden, (1, 1, t_len, d)),
+                                          delta, [p], time_aware)
     return ad.reshape(f, (d,)), ad.reshape(alpha, (t_len,))
 
 
@@ -218,11 +236,8 @@ def build_feature_matrix(case: PatientCase, lv: dict[str, Var], n_features: int,
     delta = (case.timestamps[-1] - case.timestamps)[None, :]
     channels = [channel_leaves(lv, n) for n in range(n_features)]
     hidden = gru_forward_batch(case.records[None], channels)
-    rows = []
-    alphas = []
-    for n, p in enumerate(channels):
-        f, alpha = time_aware_attention_batch(hidden[n], delta, p, time_aware)
-        rows.append(ad.reshape(f, (f.shape[1],)))
-        alphas.append(alpha.data[0])
-    rows.append(embed_baseline(case.baseline, lv["baseline.W_emb"]))
-    return ad.stack(rows, axis=0), alphas
+    f, alpha = time_aware_attention_batch(hidden, delta, channels, time_aware)
+    base = embed_baseline(case.baseline, lv["baseline.W_emb"])
+    rows = ad.concat([ad.reshape(f, (n_features, f.shape[2])),
+                      ad.reshape(base, (1, base.shape[0]))], axis=0)
+    return rows, list(alpha.data[:, 0])

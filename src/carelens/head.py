@@ -11,24 +11,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .optim import uniform_init
 
 PROB_CLAMP = 1e-7
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
 def init_head_params(store, d: int, n_features: int, rng: np.random.Generator,
                      per_position_keys: bool = False) -> None:
-    store.add("head.W_q_base", _uniform(rng, (d, d), d))
+    store.add("head.W_q_base", uniform_init(rng, (d, d), d))
     if per_position_keys:
         for i in range(n_features + 1):
-            store.add(f"head.W_k_{i}", _uniform(rng, (d, d), d))
+            store.add(f"head.W_k_{i}", uniform_init(rng, (d, d), d))
     else:
-        store.add("head.W_k", _uniform(rng, (d, d), d))
-    store.add("head.W_out", _uniform(rng, (1, d), d))
+        store.add("head.W_k", uniform_init(rng, (d, d), d))
+    store.add("head.W_out", uniform_init(rng, (1, d), d))
     store.add("head.b_out", np.zeros(1))
 
 
@@ -77,8 +73,3 @@ def cross_entropy(prob: Var, labels) -> Var:
     y = np.asarray(labels, dtype=np.float64)
     ll = y * ad.log(prob) + (1.0 - y) * ad.log(1.0 - prob)
     return -ad.vmean(ll)
-
-
-def total_loss(prob: Var, labels, decorr: Var, lambda_decorr: float) -> Var:
-    """Mean cross-entropy plus the weighted covariance penalty."""
-    return cross_entropy(prob, labels) + lambda_decorr * decorr

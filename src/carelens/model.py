@@ -90,20 +90,19 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     """
     channels = [channel_leaves(lv, n) for n in range(cfg.n_features)]
     hidden = gru_forward_batch(records, channels)          # (N, B, T, d)
-    rows, ta_alphas = [], []
-    for n, p in enumerate(channels):
-        f, alpha = time_aware_attention_batch(hidden[n], delta, p, cfg.time_aware)
-        rows.append(f)
-        ta_alphas.append(alpha)
-    rows.append(embed_baseline_batch(baseline, lv["baseline.W_emb"]))
-    features = ad.stack(rows, axis=1)                      # (B, N+1, d)
+    ta_summary, ta_alpha = time_aware_attention_batch(hidden, delta, channels,
+                                                      cfg.time_aware)
+    base = embed_baseline_batch(baseline, lv["baseline.W_emb"])
+    b_size, d = base.shape
+    features = ad.concat([ad.transpose(ta_summary, (1, 0, 2)),
+                          ad.reshape(base, (b_size, 1, d))], axis=1)  # (B, N+1, d)
     fstar, attns, u = encode(features, lv, cfg.heads, cfg.ln_eps)
     decorr = decorrelation_total(u, cfg.pool_positions)
     summary, final_alpha = final_attention(fstar, lv, cfg.per_position_keys)
     prob = predict(summary, lv)
     trace = None
     if collect_trace:
-        trace = {"ta_alphas": [a.data for a in ta_alphas],    # N x (B, T)
+        trace = {"ta_alphas": list(ta_alpha.data),            # N x (B, T)
                  "head_attn": [a.data for a in attns],        # M x (B, P, P)
                  "final_alpha": final_alpha.data}             # (B, P)
     return prob, decorr, trace

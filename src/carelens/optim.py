@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .autodiff import Var
+
+
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
+                 fan_in: int) -> np.ndarray:
+    """Draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, shape)
 
 
 @dataclass
@@ -19,22 +27,52 @@ class ParamEntry:
     step_count: int = 0
 
 
+_FIELDS = ("value", "grad", "adam_m", "adam_v")
+
+
 class ParamStore:
     """All learnable weights, keyed by name, with uniform gradient access.
 
-    ``leaf(name)`` hands out a graph node whose gradient buffer is shared
-    with the store, so ``backward()`` accumulates straight into it.
+    Values, gradients and both Adam moments each live in one contiguous
+    float64 buffer, in the order the names were added; every entry's
+    fields are views into those buffers, so whole-store updates are a few
+    numpy calls.  ``leaf(name)`` hands out a graph node whose gradient
+    buffer is shared with the store, so ``backward()`` accumulates straight
+    into it.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, ParamEntry] = {}
+        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}  # offset, shape
+        self._size = 0
+        self._bufs = {f: np.zeros(0) for f in _FIELDS}
 
     def add(self, name: str, value) -> None:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name '{name}'")
         v = np.array(value, dtype=np.float64)
-        self._entries[name] = ParamEntry(v, np.zeros_like(v), np.zeros_like(v),
-                                         np.zeros_like(v))
+        start, self._size = self._size, self._size + v.size
+        if self._size > self._bufs["value"].size:
+            # grow geometrically and re-point every entry at the new buffers
+            cap = max(2 * self._bufs["value"].size, self._size)
+            for f, old in self._bufs.items():
+                self._bufs[f] = np.zeros(cap)
+                self._bufs[f][:start] = old[:start]
+            for key, e in self._entries.items():
+                for f in _FIELDS:
+                    setattr(e, f, self._view(f, key))
+        self._slots[name] = (start, v.shape)
+        e = ParamEntry(*(self._view(f, name) for f in _FIELDS))
+        e.value[...] = v
+        self._entries[name] = e
+
+    def _view(self, field: str, name: str) -> np.ndarray:
+        start, shape = self._slots[name]
+        return self._bufs[field][start:start + math.prod(shape)].reshape(shape)
+
+    def flat(self, field: str) -> np.ndarray:
+        """The whole ``value``, ``grad``, ``adam_m`` or ``adam_v`` buffer."""
+        return self._bufs[field][:self._size]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -64,18 +102,21 @@ class ParamStore:
         return {name: self.leaf(name) for name in self._entries}
 
     def zero_grad(self) -> None:
-        for e in self._entries.values():
-            e.grad[...] = 0.0
+        self.flat("grad")[...] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: e.value.copy() for name, e in self._entries.items()}
+        """A copy of every value, as views into one flat copy."""
+        flat = self.flat("value").copy()
+        return {name: flat[start:start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in self._slots.items()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, v in snap.items():
-            self._entries[name].value[...] = v
+        """Write back a snapshot that names every parameter."""
+        self.flat("value")[...] = np.concatenate(
+            [np.ravel(snap[name]) for name in self._entries])
 
     def n_scalars(self) -> int:
-        return sum(e.value.size for e in self._entries.values())
+        return self._size
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
@@ -83,19 +124,28 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     """One bias-corrected Adam update on every entry, in place.
 
     Validates all gradients up front so a non-finite gradient leaves the
-    store untouched.
+    store untouched.  The update runs on the flat buffers; it is elementwise,
+    so it is bit for bit the per-entry update.
     """
-    for name, e in store.items():
-        if not np.isfinite(e.grad).all():
-            raise ValueError(f"non-finite gradient for parameter '{name}'")
-    for _, e in store.items():
+    g = store.flat("grad")
+    if not np.isfinite(g).all():
+        name = next(n for n, e in store.items() if not np.isfinite(e.grad).all())
+        raise ValueError(f"non-finite gradient for parameter '{name}'")
+    entries = [e for _, e in store.items()]
+    for e in entries:
         e.step_count += 1
-        t = e.step_count
-        e.adam_m[...] = beta1 * e.adam_m + (1.0 - beta1) * e.grad
-        e.adam_v[...] = beta2 * e.adam_v + (1.0 - beta2) * e.grad * e.grad
-        m_hat = e.adam_m / (1.0 - beta1 ** t)
-        v_hat = e.adam_v / (1.0 - beta2 ** t)
-        e.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    steps = {e.step_count for e in entries}
+    if len(steps) == 1:
+        t = steps.pop()
+        corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    else:   # entries added after earlier steps: per-entry bias corrections
+        sizes = [e.value.size for e in entries]
+        corr1 = np.repeat([1.0 - beta1 ** e.step_count for e in entries], sizes)
+        corr2 = np.repeat([1.0 - beta2 ** e.step_count for e in entries], sizes)
+    m, v = store.flat("adam_m"), store.flat("adam_v")
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    store.flat("value")[...] -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
 
 
 def grad_check(loss_fn: Callable[[ParamStore], Var], store: ParamStore,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
-from .head import cross_entropy, total_loss
+from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
 from .model import FittedModel, ModelConfig, batch_tensors, forward_batch, init_params, score_cases
 from .optim import adam_step

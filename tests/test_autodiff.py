@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carelens import autodiff as ad
 
@@ -260,6 +261,9 @@ def test_branch_free_sigmoid_is_bitwise_the_masked_form():
     assert np.array_equal(ad._sigmoid(edges), masked_sigmoid(edges))
     batch = rng.normal(scale=5.0, size=(4, 64, 16))
     assert np.array_equal(ad._sigmoid(batch), masked_sigmoid(batch))
+    buf = np.empty_like(batch)
+    assert ad._sigmoid(batch, out=buf) is buf
+    assert np.array_equal(buf, masked_sigmoid(batch))
 
 
 def test_clip_clamps_and_blocks_gradient_outside():
@@ -288,3 +292,130 @@ def test_reused_node_gets_both_contributions():
     y = x * x  # dy/dx = 2x
     y.backward()
     assert float(x.grad) == 6.0
+
+
+# -- first-write gradient buffers ---------------------------------------------
+
+
+def zero_then_add(self, g):
+    """The accumulation the first-write buffers must reproduce."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def aliasing_graphs(rng):
+    """Graphs where one gradient array reaches two parents, and both parents
+    receive more gradient afterwards.  Each returns (loss, nodes to check)."""
+    w = rng.normal(size=(3, 4))
+
+    def x_plus_x():
+        x = ad.Var(rng.normal(size=(3, 4)))
+        y = x * 1.5                       # a non-leaf node that add feeds twice
+        s = y + y
+        return ad.vsum(s * w) + ad.vsum(y * y), [x, y, s]
+
+    def reused_parents():
+        a = ad.Var(rng.normal(size=(3, 4)))
+        b = ad.Var(rng.normal(size=(3, 4)))
+        y = a + b
+        return ad.vsum(y * w) + ad.vsum(a * a) + ad.vsum(ad.tanh(b) * w), [a, b]
+
+    def vsum_into_add():
+        a = ad.Var(rng.normal(size=(3, 4)))
+        s = ad.vsum(a, axis=0, keepdims=True) + ad.vsum(a * a, axis=0, keepdims=True)
+        return ad.vsum(s * w[:1]) + ad.vsum(a * w), [a]
+
+    return [x_plus_x, reused_parents, vsum_into_add]
+
+
+@pytest.mark.parametrize("graph", range(3))
+def test_first_write_gradients_equal_zero_then_add(monkeypatch, graph):
+    def grads():
+        loss, inputs = aliasing_graphs(np.random.default_rng(41))[graph]()
+        loss.backward()
+        return [v.grad.copy() for v in inputs]
+
+    got = grads()
+    monkeypatch.setattr(ad.Var, "_accumulate", zero_then_add)
+    for g, w in zip(got, grads(), strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_first_write_gradient_is_a_private_writable_copy():
+    a, b = ad.Var(np.ones((2, 3))), ad.Var(np.ones((2, 3)))
+    (a + b)._backward(np.ones((2, 3)))     # add hands one array to both parents
+    assert not np.shares_memory(a.grad, b.grad)
+    c = ad.Var(np.ones((2, 3)))
+    ad.vsum(ad.vsum(c, axis=0) * np.array([1.0, 2.0, 3.0])).backward()
+    assert c.grad.flags.writeable          # vsum hands on a read-only view
+    npt.assert_array_equal(c.grad, [[1.0, 2.0, 3.0]] * 2)
+
+
+# -- property tests: softmax and layer_norm gradients on random shapes --------
+
+shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+
+
+def numeric_grad(f, x, h=1e-6):
+    grad = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
+        lp = f(x)
+        x[idx] = orig - h
+        lm = f(x)
+        x[idx] = orig
+        grad[idx] = (lp - lm) / (2 * h)
+    return grad
+
+
+def assert_grad_close(analytic, numeric):
+    npt.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**32 - 1), masked=st.booleans())
+def test_softmax_gradient_matches_central_differences(shape, seed, masked):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=2.0, size=shape)
+    w = rng.normal(size=shape)
+    axis = int(rng.integers(-len(shape), len(shape)))
+    mask = None
+    if masked:
+        mask = rng.random(shape) < 0.7
+        first = [slice(None)] * len(shape)
+        first[axis] = 0
+        mask[tuple(first)] = True          # every slice keeps a position
+
+    def loss(v):
+        return ad.vsum(ad.softmax(v, mask=mask, axis=axis) * w)
+
+    v = ad.Var(x.copy())
+    loss(v).backward()
+    assert_grad_close(v.grad, numeric_grad(lambda a: float(loss(ad.Var(a)).data), x))
+    if mask is not None:
+        npt.assert_array_equal(v.grad[~mask], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_gradients_match_central_differences(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    gain = rng.normal(size=shape[-1])
+    bias = rng.normal(size=shape[-1])
+    w = rng.normal(size=shape)
+    arrays = [x, gain, bias]
+
+    def loss(a, g, b):
+        return ad.vsum(ad.layer_norm(a, g, b) * w)
+
+    vs = [ad.Var(a.copy()) for a in arrays]
+    loss(*vs).backward()
+    for i, v in enumerate(vs):
+        def f(a, i=i):
+            args = [ad.Var(b) for b in arrays]
+            args[i] = ad.Var(a)
+            return float(loss(*args).data)
+        assert_grad_close(v.grad, numeric_grad(f, arrays[i]))

@@ -247,6 +247,27 @@ def test_inspect_flag_filter_with_baseline_name(tmp_path, capsys):
     assert f"inspected {n} cases" in stdout
 
 
+def test_inspect_reports_what_it_inspected(tmp_path, capsys):
+    data = gen_dir(tmp_path, capsys)
+    run_dir = train_dir(tmp_path, capsys, data)
+    path = data / "dataset.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + "[1, 2]\n")    # one line that is rejected
+    out = tmp_path / "inspect"
+    code, stdout, _ = run(capsys, "inspect", "--out", str(out),
+                          "--model", str(run_dir / "model.json"),
+                          "--data", str(path), "--filter", "flag1=1")
+    assert code == 0
+    dataset = load_dataset(path)
+    labels = [c.label for c in dataset.cases if c.baseline[1] == 1.0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"n_cases": len(labels), "n_rejected": 1,
+                       "prevalence": float(np.mean(labels))}
+    assert 0 < len(labels) < len(dataset)
+    assert (f"inspected {len(labels)} cases (1 rejected), prevalence "
+            f"{summary['prevalence']:.3f}, tables in {out}") in stdout
+
+
 def test_inspect_empty_filter_is_usage_error(tmp_path, capsys):
     data = gen_dir(tmp_path, capsys)
     run_dir = train_dir(tmp_path, capsys, data)

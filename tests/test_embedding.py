@@ -116,14 +116,37 @@ def test_gru_batch_rows_independent():
                             atol=1e-13, rtol=0)
 
 
-FUSED_SHAPES = [(4, 64, 16, 16), (1, 1, 1, 4), (3, 5, 7, 8), (4, 37, 24, 16),
-                (2, 1, 9, 6)]
+def per_channel_attention(hidden, delta, p, time_aware=True):
+    """Time-damped attention for one channel's (B, T, d) states, one channel
+    at a time: the batched op must reproduce its values and gradients bit
+    for bit."""
+    b_size, t_len, d = hidden.shape
+    q = hidden[:, -1, :] @ ad.transpose(p["W_q"])            # (B, d)
+    k = hidden @ ad.transpose(p["W_k"])                      # (B, T, d)
+    c = ad.vsum(ad.reshape(q, (b_size, 1, d)) * k, axis=-1)  # (B, T)
+    if not time_aware:
+        delta = np.zeros((b_size, t_len))
+    zeta = emb.time_damped_scores(c, np.asarray(delta, dtype=np.float64),
+                                  emb.effective_beta(p))
+    alpha = ad.softmax(zeta, axis=-1)
+    summary = ad.reshape(ad.reshape(alpha, (b_size, 1, t_len)) @ hidden,
+                         (b_size, d))
+    return summary, alpha
 
 
-@pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
-def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
-                                                      b_size, t_len, d):
-    cfg = ModelConfig(n_features=n_feat, n_baseline=3, d=d, heads=2)
+def per_channel_attention_batch(hidden, delta, channels, time_aware=True):
+    """Drop-in for ``time_aware_attention_batch`` built on
+    ``per_channel_attention``."""
+    outs = [per_channel_attention(hidden[n], delta, p, time_aware)
+            for n, p in enumerate(channels)]
+    return (ad.stack([f for f, _ in outs], axis=0),
+            ad.stack([a for _, a in outs], axis=0))
+
+
+def full_model_problem(n_feat, b_size, t_len, d, time_aware=True):
+    """A random model and batch: (cfg, store, records, delta, baseline, labels)."""
+    cfg = ModelConfig(n_features=n_feat, n_baseline=3, d=d, heads=2,
+                      time_aware=time_aware)
     store = init_params(cfg, seed=n_feat * 100 + t_len)
     rng = np.random.default_rng(b_size * 7 + t_len)
     records = 1.5 * rng.normal(size=(b_size, n_feat, t_len))
@@ -131,25 +154,69 @@ def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
     delta = ts[:, -1:] - ts
     baseline = rng.normal(size=(b_size, 3))
     labels = rng.integers(0, 2, size=b_size).astype(np.float64)
+    return cfg, store, records, delta, baseline, labels
 
+
+def full_loss_grads(cfg, store, records, delta, baseline, labels):
+    """Probabilities, time-damped attention rows and every parameter
+    gradient of the cross-entropy + decorrelation loss."""
+    store.zero_grad()
+    prob, decorr, trace = model.forward_batch(store.leaves(), records, delta,
+                                              baseline, cfg, collect_trace=True)
+    (cross_entropy(prob, labels) + decorr).backward()
+    return (prob.data, trace["ta_alphas"],
+            {n: e.grad.copy() for n, e in store.items()})
+
+
+def assert_same_outputs(got, want):
+    prob, alphas, grads = got
+    prob_ref, alphas_ref, grads_ref = want
+    npt.assert_array_equal(prob, prob_ref)
+    assert len(alphas) == len(alphas_ref)
+    for a, a_ref in zip(alphas, alphas_ref):
+        npt.assert_array_equal(a, a_ref)
+    assert grads.keys() == grads_ref.keys()
+    for name, g in grads_ref.items():
+        assert np.array_equal(grads[name], g), name
+
+
+FUSED_SHAPES = [(4, 64, 16, 16), (1, 1, 1, 4), (3, 5, 7, 8), (4, 37, 24, 16),
+                (2, 1, 9, 6)]
+
+
+@pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
+def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
+                                                      b_size, t_len, d):
+    problem = full_model_problem(n_feat, b_size, t_len, d)
+    store, records = problem[1], problem[2]
     channels = [emb.channel_leaves(store.leaves(), n) for n in range(n_feat)]
     npt.assert_array_equal(emb.gru_forward_batch(records, channels).data,
                            composed_gru_forward_batch(records, channels).data)
 
-    def loss_grads():
-        store.zero_grad()
-        prob, decorr, _ = model.forward_batch(store.leaves(), records, delta,
-                                              baseline, cfg)
-        (cross_entropy(prob, labels) + decorr).backward()
-        return prob.data, {n: e.grad.copy() for n, e in store.items()}
-
-    prob, grads = loss_grads()
+    got = full_loss_grads(*problem)
     monkeypatch.setattr(model, "gru_forward_batch", composed_gru_forward_batch)
-    prob_ref, grads_ref = loss_grads()
-    npt.assert_array_equal(prob, prob_ref)
-    for name, g in grads_ref.items():
-        assert np.array_equal(grads[name], g), name
-    assert any(np.abs(g).max() > 0 for n, g in grads.items() if ".gru." in n)
+    assert_same_outputs(got, full_loss_grads(*problem))
+    assert any(np.abs(g).max() > 0 for n, g in got[2].items() if ".gru." in n)
+
+
+ATTENTION_SHAPES = [(4, 64, 16, 16), (4, 37, 24, 16), (1, 1, 1, 4),
+                    (3, 5, 7, 8), (2, 1, 9, 6), (4, 105, 6, 16)]
+
+
+@pytest.mark.parametrize("time_aware", [True, False])
+@pytest.mark.parametrize("n_feat,b_size,t_len,d", ATTENTION_SHAPES)
+def test_batched_attention_is_bitwise_the_per_channel_loop(monkeypatch, n_feat,
+                                                           b_size, t_len, d,
+                                                           time_aware):
+    problem = full_model_problem(n_feat, b_size, t_len, d, time_aware)
+    got = full_loss_grads(*problem)
+    monkeypatch.setattr(model, "time_aware_attention_batch",
+                        per_channel_attention_batch)
+    assert_same_outputs(got, full_loss_grads(*problem))
+    if t_len > 1:     # one visit gets weight 1 whatever its score
+        for n in range(n_feat):
+            assert np.abs(got[2][f"channel{n}.attn.W_k"]).max() > 0
+            assert got[2][f"channel{n}.attn.beta_raw"] != 0
 
 
 def test_gru_saturated_update_gate_freezes_state():

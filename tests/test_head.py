@@ -136,15 +136,6 @@ def test_cross_entropy_penalizes_confident_mistakes():
     assert sure_wrong == float(-np.log(0.01))
 
 
-def test_total_loss_combines_terms():
-    prob = ad.Var(np.array([0.7, 0.4]))
-    decorr = ad.Var(0.125)
-    ce = float(head.cross_entropy(prob, [1, 0]).data)
-    for lam in (0.0, 1.0, 2.5):
-        got = float(head.total_loss(prob, [1, 0], decorr, lam).data)
-        assert abs(got - (ce + lam * 0.125)) < 1e-15
-
-
 def test_head_gradients_match_finite_differences():
     for ppk in (False, True):
         store = head_store(d=4, n_features=2, per_position_keys=ppk, seed=15)

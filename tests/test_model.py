@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -64,6 +65,29 @@ def test_init_param_inventory():
     # one key matrix per feature row plus the baseline row
     assert {f"head.W_k_{i}" for i in range(4)} <= names
     assert "head.W_k" not in names
+
+
+def store_digest(store):
+    h = hashlib.sha256()
+    for name, e in store.items():
+        h.update(name.encode())
+        h.update(repr(e.value.shape).encode())
+        h.update(e.value.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kw,seed,digest", [
+    (dict(n_features=3, n_baseline=2, d=8, heads=2), 0,
+     "8ef76dbc4e6cf3f3d0c97b5b77747976a7a83823af8c74a67c623c6bf8ba6e36"),
+    (dict(n_features=4, n_baseline=3, d=16, heads=2), 7,
+     "09bb0c2275b7c68c4570d446cfa3ee7693bb12a43413cad78eba11c50565f4df"),
+    (dict(n_features=5, n_baseline=1, d=12, heads=3, d_ff=5,
+          per_position_keys=True), 123,
+     "2ea4502ad27ef1fcebcb70f776f285f2dba1ef764eb6a1bfa7a0a349d7de1b07"),
+])
+def test_init_params_is_bitwise_pinned(kw, seed, digest):
+    # names, shapes, order and every initial value, frozen by digest
+    assert store_digest(init_params(ModelConfig(**kw), seed)) == digest
 
 
 def test_batch_tensors_layout():

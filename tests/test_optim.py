@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from carelens import autodiff as ad
+from carelens.model import FittedModel, ModelConfig, init_params, load_model, save_model
 from carelens.optim import ParamStore, adam_step, grad_check
 
 
@@ -140,3 +142,115 @@ def test_grad_check_restores_values():
 def test_n_scalars_counts_every_entry():
     store = make_store(a=np.zeros((2, 3)), b=np.zeros(5))
     assert store.n_scalars() == 11
+
+
+# -- flat store -------------------------------------------------------------------
+
+
+def adam_loop_oracle(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-entry Adam update the flat one must equal bit for bit."""
+    for name, e in store.items():
+        if not np.isfinite(e.grad).all():
+            raise ValueError(f"non-finite gradient for parameter '{name}'")
+    for _, e in store.items():
+        e.step_count += 1
+        t = e.step_count
+        e.adam_m[...] = beta1 * e.adam_m + (1.0 - beta1) * e.grad
+        e.adam_v[...] = beta2 * e.adam_v + (1.0 - beta2) * e.grad * e.grad
+        m_hat = e.adam_m / (1.0 - beta1 ** t)
+        v_hat = e.adam_v / (1.0 - beta2 ** t)
+        e.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def full_model_store():
+    return init_params(ModelConfig(n_features=4, n_baseline=3, d=16, heads=2), 3)
+
+
+def assert_stores_equal(a, b):
+    assert a.names() == b.names()
+    for (name, e), (_, f) in zip(a.items(), b.items()):
+        for field in ("value", "grad", "adam_m", "adam_v"):
+            assert np.array_equal(getattr(e, field), getattr(f, field)), (name, field)
+        assert e.step_count == f.step_count, name
+
+
+def test_flat_adam_is_bitwise_the_per_entry_loop_for_300_steps():
+    flat, loop = full_model_store(), full_model_store()
+    rng = np.random.default_rng(31)
+    for step in range(300):
+        for name in flat.names():
+            e = flat.entry(name)
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=e.grad.shape)
+            g[rng.random(g.shape) < 0.1] = 0.0
+            e.grad[...] = g
+            loop.entry(name).grad[...] = g
+        lr = (1e-2, 3e-3)[step % 2]
+        adam_step(flat, lr)
+        adam_loop_oracle(loop, lr)
+    assert_stores_equal(flat, loop)
+
+
+def test_flat_adam_keeps_per_entry_step_counts():
+    # an entry added after two steps gets its own bias correction
+    flat, loop = make_store(a=[1.0, -2.0]), make_store(a=[1.0, -2.0])
+    for step in range(5):
+        if step == 2:
+            flat.add("b", [[0.5, 0.25]])
+            loop.add("b", [[0.5, 0.25]])
+        for s in (flat, loop):
+            for name, e in s.items():
+                e.grad[...] = 0.3 * step - e.value
+        adam_step(flat, 0.1)
+        adam_loop_oracle(loop, 0.1)
+    assert_stores_equal(flat, loop)
+    assert flat.entry("a").step_count == 5 and flat.entry("b").step_count == 3
+
+
+def test_nonfinite_gradient_leaves_every_buffer_untouched():
+    store = full_model_store()
+    store.entry("encoder.W_O").grad[...] = 0.5
+    adam_step(store, 0.1)
+    names = store.names()
+    store.entry(names[5]).grad[0] = np.inf
+    store.entry(names[-1]).grad[...] = np.nan
+    before = {f: store.flat(f).copy() for f in ("value", "grad", "adam_m", "adam_v")}
+    steps = [e.step_count for _, e in store.items()]
+    with pytest.raises(ValueError, match=f"parameter '{re.escape(names[5])}'"):
+        adam_step(store, 0.1)
+    for f, buf in before.items():
+        assert np.array_equal(store.flat(f), buf, equal_nan=True), f
+    assert [e.step_count for _, e in store.items()] == steps
+
+
+def test_entries_are_views_of_the_flat_buffers():
+    store = make_store(a=[1.0, 2.0])
+    first = store.entry("a")
+    rng = np.random.default_rng(4)
+    values = {"a": np.array([1.0, 2.0])}
+    for i in range(40):      # enough adds to regrow the buffers several times
+        values[f"w{i}"] = rng.normal(size=(i % 4 + 1, 3))
+        store.add(f"w{i}", values[f"w{i}"])
+    assert store.entry("a") is first
+    for name, e in store.items():
+        for field in ("value", "grad", "adam_m", "adam_v"):
+            assert np.shares_memory(getattr(e, field), store.flat(field)), (name, field)
+        npt.assert_array_equal(e.value, values[name])
+    assert store.n_scalars() == store.flat("value").size
+    leaf = store.leaf("w3")
+    ad.vsum(leaf * 2.0).backward()
+    npt.assert_array_equal(store.flat("grad")[2:2 + values["w0"].size], 0.0)
+    npt.assert_array_equal(store.entry("w3").grad, np.full((4, 3), 2.0))
+    store.zero_grad()
+    npt.assert_array_equal(store.flat("grad"), 0.0)
+
+
+def test_save_then_load_gives_a_byte_identical_model_file(tmp_path):
+    cfg = ModelConfig(n_features=3, n_baseline=2, d=8, heads=2)
+    store = init_params(cfg, 5)
+    for _, e in store.items():
+        e.grad[...] = 0.01
+    adam_step(store, 0.1)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(FittedModel(store, cfg, ["f0", "f1", "f2"], ["b0", "b1"]), first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()

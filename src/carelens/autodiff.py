@@ -3,14 +3,37 @@
 A ``Var`` wraps one array plus a backward closure; ops build a graph that
 ``backward()`` walks once in reverse topological order.  Graphs are single
 use: build, run backward, discard.  Gradients accumulate additively, so the
-caller zeroes parameter gradients between batches.
+caller zeroes parameter gradients between batches.  Inside ``no_grad()``
+ops record no graph at all, so each intermediate is freed as soon as
+nothing refers to it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+_grad_enabled = True
+
+
+def grad_enabled() -> bool:
+    """Whether ops record parents and backward closures."""
+    return _grad_enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block (inference); the previous mode comes
+    back when the block ends, also when it raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def as_array(x) -> np.ndarray:
@@ -29,8 +52,11 @@ class Var:
     def __init__(self, data, parents: tuple = (), backward=None):
         self.data = as_array(data)
         self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward = backward
+        # the one place where no_grad drops the graph
+        if _grad_enabled:
+            self._parents, self._backward = parents, backward
+        else:
+            self._parents, self._backward = (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -131,50 +157,42 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.data + b.data, (a, b))
 
     def bwd(g):
         a._accumulate(_unbroadcast(g, a.data.shape))
         b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.data * b.data, (a, b))
 
     def bwd(g):
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data * b.data, (a, b), bwd)
 
 
 def div(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.data / b.data, (a, b))
 
     def bwd(g):
         a._accumulate(_unbroadcast(g / b.data, a.data.shape))
         b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data / b.data, (a, b), bwd)
 
 
 def powc(a, p: float) -> Var:
     """a ** p for a constant exponent p."""
     a = as_var(a)
-    out = Var(a.data ** p, (a,))
 
     def bwd(g):
         a._accumulate(g * p * a.data ** (p - 1))
 
-    out._backward = bwd
-    return out
+    return Var(a.data ** p, (a,), bwd)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -183,7 +201,6 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    out = Var(a.data @ b.data, (a, b))
 
     def bwd(g):
         A, B = a.data, b.data
@@ -202,8 +219,7 @@ def matmul(a, b) -> Var:
             a._accumulate(_unbroadcast(g @ _swap(B), A.shape))
             b._accumulate(_unbroadcast(_swap(A) @ g, B.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data @ b.data, (a, b), bwd)
 
 
 def _selects_once(key) -> bool:
@@ -217,42 +233,34 @@ def _selects_once(key) -> bool:
 
 def take(a: Var, key) -> Var:
     """a[key] with scatter-add backward."""
-    out = Var(a.data[key], (a,))
-    once = _selects_once(key)
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        if once:
+        if _selects_once(key):
             a.grad[key] += g
         else:
             np.add.at(a.grad, key, g)
 
-    out._backward = bwd
-    return out
+    return Var(a.data[key], (a,), bwd)
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    out = Var(a.data.reshape(shape), (a,))
 
     def bwd(g):
         a._accumulate(g.reshape(a.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data.reshape(shape), (a,), bwd)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Var:
     a = as_var(a)
-    inv = None if axes is None else tuple(np.argsort(axes))
-    out = Var(np.transpose(a.data, axes), (a,))
 
     def bwd(g):
-        a._accumulate(np.transpose(g, inv))
+        a._accumulate(np.transpose(g, None if axes is None else tuple(np.argsort(axes))))
 
-    out._backward = bwd
-    return out
+    return Var(np.transpose(a.data, axes), (a,), bwd)
 
 
 def t2(a) -> Var:
@@ -264,55 +272,46 @@ def t2(a) -> Var:
 
 def vsum(a, axis=None, keepdims: bool = False) -> Var:
     a = as_var(a)
-    out = Var(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def vmean(a, axis=None, keepdims: bool = False) -> Var:
     a = as_var(a)
-    out = Var(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-    count = a.data.size / out.data.size
+    y = a.data.mean(axis=axis, keepdims=keepdims)
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g / count, a.data.shape))
+        a._accumulate(np.broadcast_to(g / (a.data.size / y.size), a.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def stack(vars_: Iterable, axis: int = 0) -> Var:
     vs = [as_var(v) for v in vars_]
-    out = Var(np.stack([v.data for v in vs], axis=axis), tuple(vs))
 
     def bwd(g):
         for i, v in enumerate(vs):
             v._accumulate(np.take(g, i, axis=axis))
 
-    out._backward = bwd
-    return out
+    return Var(np.stack([v.data for v in vs], axis=axis), tuple(vs), bwd)
 
 
 def concat(vars_: Iterable, axis: int = -1) -> Var:
     vs = [as_var(v) for v in vars_]
-    out = Var(np.concatenate([v.data for v in vs], axis=axis), tuple(vs))
-    sizes = [v.data.shape[axis] for v in vs]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        splits = np.cumsum([v.data.shape[axis] for v in vs])[:-1]
         for v, piece in zip(vs, np.split(g, splits, axis=axis)):
             v._accumulate(piece)
 
-    out._backward = bwd
-    return out
+    return Var(np.concatenate([v.data for v in vs], axis=axis), tuple(vs), bwd)
 
 
 # -- nonlinearities ---------------------------------------------------------
@@ -322,101 +321,86 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without overflow;
     written into ``out`` when given."""
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    # e <= 1, so the larger of e and (x >= 0) is 1.0 for x >= 0 and e below
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def sigmoid(a) -> Var:
     a = as_var(a)
     y = _sigmoid(a.data)
-    out = Var(y, (a,))
 
     def bwd(g):
         a._accumulate(g * y * (1.0 - y))
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def tanh(a) -> Var:
     a = as_var(a)
     y = np.tanh(a.data)
-    out = Var(y, (a,))
 
     def bwd(g):
         a._accumulate(g * (1.0 - y * y))
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def exp(a) -> Var:
     a = as_var(a)
     y = np.exp(a.data)
-    out = Var(y, (a,))
 
     def bwd(g):
         a._accumulate(g * y)
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def log(a) -> Var:
     a = as_var(a)
-    out = Var(np.log(a.data), (a,))
 
     def bwd(g):
         a._accumulate(g / a.data)
 
-    out._backward = bwd
-    return out
+    return Var(np.log(a.data), (a,), bwd)
 
 
 def sqrt(a) -> Var:
     a = as_var(a)
     y = np.sqrt(a.data)
-    out = Var(y, (a,))
 
     def bwd(g):
         a._accumulate(g * 0.5 / y)
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def relu(a) -> Var:
     a = as_var(a)
-    out = Var(np.maximum(a.data, 0.0), (a,))
 
     def bwd(g):
         a._accumulate(g * (a.data > 0))
 
-    out._backward = bwd
-    return out
+    return Var(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def softplus(a) -> Var:
     """log(1 + exp(x)), computed without overflow."""
     a = as_var(a)
-    out = Var(np.logaddexp(0.0, a.data), (a,))
 
     def bwd(g):
         a._accumulate(g * _sigmoid(a.data))
 
-    out._backward = bwd
-    return out
+    return Var(np.logaddexp(0.0, a.data), (a,), bwd)
 
 
 def clip(a, lo: float, hi: float) -> Var:
     """Clamp values to [lo, hi]; gradient passes only inside the range."""
     a = as_var(a)
-    out = Var(np.clip(a.data, lo, hi), (a,))
 
     def bwd(g):
         a._accumulate(g * ((a.data >= lo) & (a.data <= hi)))
 
-    out._backward = bwd
-    return out
+    return Var(np.clip(a.data, lo, hi), (a,), bwd)
 
 
 # -- attention / normalization primitives -----------------------------------
@@ -442,14 +426,12 @@ def softmax(scores, mask=None, axis: int = -1) -> Var:
         m = neg.max(axis=axis, keepdims=True)
         e = np.exp(neg - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Var(y, (a,))
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         a._accumulate(y * (g - dot))
 
-    out._backward = bwd
-    return out
+    return Var(y, (a,), bwd)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
@@ -460,7 +442,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Var(gn.data * xhat + bs.data, (a, gn, bs))
 
     def bwd(g):
         gg = g * gn.data
@@ -472,5 +453,4 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
                                     gn.data.shape))
         bs._accumulate(_unbroadcast(g.sum(axis=lead) if lead else g, bs.data.shape))
 
-    out._backward = bwd
-    return out
+    return Var(gn.data * xhat + bs.data, (a, gn, bs), bwd)

@@ -58,29 +58,18 @@ def multi_head_attention(features: Var, heads: list[dict[str, Var]]
     return ad.concat(outs, axis=-1), attns
 
 
-def decorrelation_loss(u) -> Var:
-    """Off-diagonal energy of the batch covariance of (B, K) activations.
-
-    C = (1/B) sum_b (u_b - mean)(u_b - mean)^T;  loss = (|C|_F^2 - |diag|^2)/2.
-    Zero for B = 1 or a constant batch; always >= 0.
-    """
-    u = ad.as_var(u)
-    b_size, k = u.shape
-    cent = u - ad.vmean(u, axis=0, keepdims=True)
-    cov = (ad.transpose(cent) @ cent) * (1.0 / b_size)
-    off = 1.0 - np.eye(k)
-    return 0.5 * ad.vsum(cov * cov * off)
-
-
 def decorrelation_total(u_all: Var, pool_positions: bool = False) -> Var:
     """Covariance penalty for (B, P, K) head outputs.
 
-    Per-position covariances averaged over P by default; ``pool_positions``
-    instead treats all B*P rows as one sample.
+    Per position p, C = (1/B) sum_b (u_bp - mean_p)(u_bp - mean_p)^T and the
+    penalty is (|C|_F^2 - |diag C|^2)/2: zero for B = 1 or a constant batch,
+    never negative.  The P penalties are averaged; ``pool_positions``
+    instead treats all B*P rows as one sample (one position of B*P cases).
     """
-    b_size, p_len, k = u_all.shape
     if pool_positions:
-        return decorrelation_loss(ad.reshape(u_all, (b_size * p_len, k)))
+        b_size, p_len, k = u_all.shape
+        u_all = ad.reshape(u_all, (b_size * p_len, 1, k))
+    b_size, p_len, k = u_all.shape
     u_t = ad.transpose(u_all, (1, 0, 2))                      # (P, B, K)
     cent = u_t - ad.vmean(u_t, axis=1, keepdims=True)
     cov = (ad.t2(cent) @ cent) * (1.0 / b_size)               # (P, K, K)

@@ -65,7 +65,8 @@ def _sum_from_last(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Var:
+def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
+                      keep: np.ndarray | None = None) -> Var:
     """Run every feature's scalar-input GRU over its row of (B, N, T) records.
 
     ``channels[n]`` holds channel n's ``W_*``, ``U_*`` and ``b_*`` leaves.
@@ -73,6 +74,11 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Va
     shape (N, B, T, d).  Gate convention: h_t = (1 - z_t) * h_{t-1} +
     z_t * cand_t, with the reset gate applied to the previous state inside
     the candidate.
+
+    ``keep`` is an optional (B, T) mask that is False at pad steps.  The
+    state is written back to exactly 0.0 there, so with the pads first a
+    case's real visits see the states its unpadded series would; pad states
+    are constants and pass no gradient.
 
     The forward pass steps through time once for all channels with
     (N, B, d) @ (N, d, d) matmuls; the backward pass is hand-written BPTT.
@@ -93,31 +99,39 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Va
     x = records.transpose(2, 1, 0)                                  # (T, N, B)
     # a width-one matmul is one exact product, so x_t @ W^T is this
     xw = x[:, None, :, :, None] * w_in[None, :, :, None, :]         # (T, 3, N, B, d)
+    # pads[t]: the rows that are padding at step t, or None
+    pads = [None] * t_len if keep is None else [
+        None if col.all() else ~col for col in np.asarray(keep, dtype=bool).T]
     hs = np.zeros((t_len + 1, len(channels), b_size, d))            # hs[t] = h_{t-1}
-    acts = np.empty((t_len, 3, len(channels), b_size, d))           # z, r, cand
+    # z, r, cand of every step for BPTT; with no tape, one step's worth
+    acts = np.empty((t_len if ad.grad_enabled() else 1, 3, len(channels), b_size, d))
     pre = np.empty((2, len(channels), b_size, d))                   # z, r inputs
     for t in range(t_len):
         h = hs[t]
-        z, r, cand = acts[t]
+        step = acts[t % len(acts)]
+        z, r, cand = step
         # (x W^T + h U^T) + b per gate; one sigmoid call for z and r
         np.matmul(h, u_t[0], out=pre[0])
         np.matmul(h, u_t[1], out=pre[1])
         pre += xw[t, :2]
         pre += bias[:2]
-        ad._sigmoid(pre, out=acts[t, :2])
+        ad._sigmoid(pre, out=step[:2])
         np.matmul(r * h, u_t[2], out=cand)
         cand += xw[t, 2]
         cand += bias[2]
         np.tanh(cand, out=cand)
         np.multiply(1.0 - z, h, out=hs[t + 1])
         hs[t + 1] += z * cand
-    out = Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
-              tuple(v for vs in leaves.values() for v in vs))
+        if pads[t] is not None:
+            hs[t + 1][:, pads[t]] = 0.0
 
     def bwd(grad):
         d_pre = np.empty_like(acts)     # gradients of the gate pre-activations
         dh = grad[:, :, -1]
         for t in range(t_len - 1, -1, -1):
+            if pads[t] is not None:
+                # a pad state is a constant: nothing flows back through it
+                dh = np.where(pads[t][:, None], 0.0, dh)
             h = hs[t]
             z, r, cand = acts[t]
             dp_z, dp_r, dp_h = d_pre[t]
@@ -148,8 +162,8 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]]) -> Va
                 leaves["U", g][n]._accumulate(d_u[n].T)
                 leaves["b", g][n]._accumulate(d_b[n])
 
-    out._backward = bwd
-    return out
+    return Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
+               tuple(v for vs in leaves.values() for v in vs), bwd)
 
 
 def gru_forward(series, p: dict[str, Var]) -> Var:
@@ -171,14 +185,17 @@ def effective_beta(p: dict[str, Var]) -> Var:
 
 def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
                                channels: list[dict[str, Var]],
-                               time_aware: bool = True) -> tuple[Var, Var]:
+                               time_aware: bool = True,
+                               keep: np.ndarray | None = None) -> tuple[Var, Var]:
     """Attend over every channel's hidden states at once.
 
     ``hidden`` holds (N, B, T, d) states and ``channels[n]`` channel n's
     ``W_q``, ``W_k`` and ``beta_raw`` leaves.  Returns (summaries (N, B, d),
     alphas (N, B, T)).  The query comes from the last hidden state.
     ``delta`` holds (B, T) hours back from the newest visit; with
-    ``time_aware=False`` the damping is frozen at its dt = 0 value.
+    ``time_aware=False`` the damping is frozen at its dt = 0 value.  An
+    optional (B, T) ``keep`` mask gives pad steps a weight of exactly 0;
+    the last step must be real.
 
     The channels' weights are stacked as W_q (N, d, d), W_k (N, 1, d, d) and
     beta (N, 1, 1), so every product runs on the operands one channel alone
@@ -198,7 +215,7 @@ def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
         delta = np.zeros((b_size, t_len))
     zeta = time_damped_scores(c, np.asarray(delta, dtype=np.float64),
                               effective_beta({"beta_raw": beta_raw}))
-    alpha = ad.softmax(zeta, axis=-1)
+    alpha = ad.softmax(zeta, mask=keep, axis=-1)
     summary = ad.reshape(ad.reshape(alpha, (n_ch, b_size, 1, t_len)) @ hidden,
                          (n_ch, b_size, d))
     return summary, alpha

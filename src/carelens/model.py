@@ -2,9 +2,12 @@
 
 A forward pass stacks, for each case, the N per-feature attention summaries
 plus the baseline embedding into an (N+1) x d matrix, re-encodes it with the
-context block, and scores it with the baseline-queried head.  Batches must
-share an identical visit count; batching is what gives the covariance
-penalty something to work with.
+context block, and scores it with the baseline-queried head.  Training
+batches share an identical visit count; batching is what gives the
+covariance penalty something to work with.  Scoring and tracing sort the
+cases by visit count and run them in chunks of at most ``CHUNK_CELLS``
+padded (case, visit) cells, left-padded to the chunk's longest case with a
+keep-mask, and with no tape.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .optim import ParamStore
 
 MODEL_FORMAT = "carelens-model"
 MODEL_VERSION = 1
+# cases x longest visit count per inference chunk: 85 cases of 24 visits,
+# 128 of 16; it bounds the memory of one pass
+CHUNK_CELLS = 2048
 
 
 @dataclass
@@ -65,33 +71,51 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     return store
 
 
+def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                 np.ndarray, np.ndarray | None]:
+    """Stack cases left-padded to the longest: (B,N,T) records, (B,T)
+    hours-back deltas, (B,S) baselines, (B,) labels and the (B,T) keep-mask,
+    False at pad steps, or None when every case has T visits.  Pads hold
+    0.0 in records and deltas."""
+    lengths = np.array([c.n_visits for c in cases])
+    t_len = int(lengths.max())
+    records = np.zeros((len(cases), cases[0].records.shape[0], t_len))
+    stamps = np.zeros((len(cases), t_len))
+    for b, c in enumerate(cases):
+        records[b, :, t_len - lengths[b]:] = c.records
+        stamps[b, t_len - lengths[b]:] = c.timestamps
+    keep = np.arange(t_len) >= (t_len - lengths)[:, None]
+    # the last step is always real, so stamps[:, -1:] is each case's last visit
+    delta = np.where(keep, stamps[:, -1:] - stamps, 0.0)
+    baseline = np.stack([c.baseline for c in cases])
+    labels = np.array([c.label for c in cases], dtype=np.float64)
+    return records, delta, baseline, labels, None if keep.all() else keep
+
+
 def batch_tensors(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray, np.ndarray]:
     """Stack same-length cases into (B,N,T) records, (B,T) hours-back deltas,
     (B,S) baselines, and (B,) labels."""
-    t_len = cases[0].n_visits
-    if any(c.n_visits != t_len for c in cases):
+    if any(c.n_visits != cases[0].n_visits for c in cases):
         raise ValueError("cases in a batch must share the same visit count")
-    records = np.stack([c.records for c in cases])
-    delta = np.stack([c.timestamps[-1] - c.timestamps for c in cases])
-    baseline = np.stack([c.baseline for c in cases])
-    labels = np.array([c.label for c in cases], dtype=np.float64)
-    return records, delta, baseline, labels
+    return pad_cases(cases)[:4]
 
 
 def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
                   baseline: np.ndarray, cfg: ModelConfig,
-                  collect_trace: bool = False):
+                  collect_trace: bool = False, keep: np.ndarray | None = None):
     """Run the full model on stacked arrays.
 
     Returns (probabilities (B,), covariance penalty, trace-or-None).  The
     trace holds per-feature attention weights, per-head attention matrices,
-    and final attention weights as plain arrays.
+    and final attention weights as plain arrays.  ``keep`` is the (B,T)
+    mask of a left-padded batch (see ``pad_cases``); pad steps then get
+    zero attention.
     """
     channels = [channel_leaves(lv, n) for n in range(cfg.n_features)]
-    hidden = gru_forward_batch(records, channels)          # (N, B, T, d)
+    hidden = gru_forward_batch(records, channels, keep)    # (N, B, T, d)
     ta_summary, ta_alpha = time_aware_attention_batch(hidden, delta, channels,
-                                                      cfg.time_aware)
+                                                      cfg.time_aware, keep)
     base = embed_baseline_batch(baseline, lv["baseline.W_emb"])
     b_size, d = base.shape
     features = ad.concat([ad.transpose(ta_summary, (1, 0, 2)),
@@ -108,23 +132,39 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     return prob, decorr, trace
 
 
-def _visit_count_groups(cases: list[PatientCase]) -> list[list[int]]:
-    """Positions of ``cases`` grouped by visit count, shortest first."""
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(cases):
-        groups.setdefault(c.n_visits, []).append(i)
-    return [groups[t_len] for t_len in sorted(groups)]
+def _forward_chunks(store: ParamStore, cfg: ModelConfig,
+                    cases: list[PatientCase], collect_trace: bool = False):
+    """Yield (positions, probabilities, trace) for chunks of ``cases``.
+
+    The cases are sorted by visit count and cut so that no chunk holds more
+    than ``CHUNK_CELLS`` padded cells (a case longer than that gets a chunk
+    of its own); each chunk runs as one padded forward pass with no tape.
+    """
+    lv = store.leaves()
+    lengths = [c.n_visits for c in cases]
+    order = sorted(range(len(cases)), key=lengths.__getitem__)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        # sorted, so the case at ``stop`` is the longest once it joins
+        while (stop < len(order)
+               and (stop - start + 1) * lengths[order[stop]] <= CHUNK_CELLS):
+            stop += 1
+        idx = order[start:stop]
+        records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
+        with ad.no_grad():
+            prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
+                                           collect_trace, keep=keep)
+        yield idx, prob.data, trace
+        start = stop
 
 
 def score_cases(store: ParamStore, cfg: ModelConfig,
                 cases: list[PatientCase]) -> np.ndarray:
-    """Probabilities for arbitrary cases, batched internally by visit count."""
-    lv = store.leaves()
+    """Probabilities for arbitrary cases, scored in padded chunks with no tape."""
     out = np.empty(len(cases))
-    for idx in _visit_count_groups(cases):
-        records, delta, baseline, _ = batch_tensors([cases[i] for i in idx])
-        prob, _, _ = forward_batch(lv, records, delta, baseline, cfg)
-        out[idx] = prob.data
+    for idx, prob, _ in _forward_chunks(store, cfg, cases):
+        out[idx] = prob
     return out
 
 
@@ -176,18 +216,17 @@ class FittedModel:
                     ) -> list[dict]:
         """Per-case attention traces on a raw dataset, in ``ids`` order.
 
-        One forward pass per visit count, as in ``score_cases``.
+        Chunked as in ``score_cases``; each ``ta_alphas`` row has the case's
+        own visit count, with the pads trimmed off.
         """
         cases = self._prepared(dataset, ids)
-        lv = self.store.leaves()
         out: list[dict] = [{} for _ in cases]
-        for idx in _visit_count_groups(cases):
-            records, delta, baseline, _ = batch_tensors([cases[i] for i in idx])
-            _, _, tr = forward_batch(lv, records, delta, baseline,
-                                     self.config, collect_trace=True)
+        for idx, _, tr in _forward_chunks(self.store, self.config, cases,
+                                          collect_trace=True):
             for j, i in enumerate(idx):
+                t_len = cases[i].n_visits
                 out[i] = {"id": cases[i].id, "label": cases[i].label,
-                          "ta_alphas": [a[j] for a in tr["ta_alphas"]],
+                          "ta_alphas": [a[j, -t_len:] for a in tr["ta_alphas"]],
                           "head_attn": np.stack([a[j] for a in tr["head_attn"]]),
                           "final_alpha": tr["final_alpha"][j]}
         return out

@@ -18,7 +18,7 @@ import pytest
 
 import carelens.autodiff as ad
 from carelens.autodiff import Var
-from carelens.context import decorrelation_loss, multi_head_attention
+from carelens.context import decorrelation_total, multi_head_attention
 from carelens.data import PatientCase
 from carelens.embedding import effective_beta, time_aware_attention, time_damped_scores
 from carelens.head import cross_entropy, final_attention
@@ -118,6 +118,13 @@ def mha_oracle(feats, head_mats):
     return np.concatenate(outs, axis=-1), attns
 
 
+def cov_penalty(u) -> Var:
+    """The covariance penalty of (B, K) rows: ``decorrelation_total`` with
+    one feature position."""
+    u = ad.as_var(u)
+    return decorrelation_total(ad.reshape(u, (u.shape[0], 1, u.shape[1])))
+
+
 def decorr_oracle(u):
     """Half the squared off-diagonal batch covariance, pair by pair."""
     b_size, k = u.shape
@@ -181,7 +188,7 @@ def test_acceptance_02_attention_and_penalty_match_direct_loop_oracles():
         b_size = int(rng.integers(1, 7))
         k = int(rng.integers(2, 7))
         u = rng.normal(size=(b_size, k)) * float(rng.uniform(0.5, 3.0))
-        got = float(decorrelation_loss(u).data)
+        got = float(cov_penalty(u).data)
         assert abs(got - decorr_oracle(u)) <= 1e-12
 
     for trial in range(100):
@@ -250,19 +257,19 @@ def test_acceptance_04_decorrelation_sign_zeros_and_hand_value():
         b_size = int(rng.integers(2, 9))
         k = int(rng.integers(2, 7))
         u = rng.normal(size=(b_size, k)) * float(rng.uniform(0.1, 5.0))
-        assert float(decorrelation_loss(u).data) >= 0.0
+        assert float(cov_penalty(u).data) >= 0.0
 
     for _ in range(20):
         single = rng.normal(size=(1, int(rng.integers(2, 7))))
-        assert float(decorrelation_loss(single).data) == 0.0
+        assert float(cov_penalty(single).data) == 0.0
 
     # integer-valued rows keep the column means exact for any batch size
     for b_size in (2, 3, 4, 5, 7):
         row = rng.integers(-9, 10, size=4).astype(float)
         const = np.tile(row, (b_size, 1))
-        assert float(decorrelation_loss(const).data) == 0.0
+        assert float(cov_penalty(const).data) == 0.0
 
-    hand = float(decorrelation_loss(np.eye(2)).data)
+    hand = float(cov_penalty(np.eye(2)).data)
     assert abs(hand - 0.0625) <= 1e-12
 
 

@@ -257,13 +257,37 @@ def test_branch_free_sigmoid_is_bitwise_the_masked_form():
                         for s in (1.0, 10.0, 100.0, 1000.0)])
     assert np.array_equal(ad._sigmoid(x), masked_sigmoid(x))
     edges = np.array([0.0, -0.0, 1e-300, -1e-300, 708.0, -708.0, 710.0,
-                      -710.0, -746.0, 1e308, -1e308, np.inf, -np.inf])
-    assert np.array_equal(ad._sigmoid(edges), masked_sigmoid(edges))
+                      -710.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    assert np.array_equal(ad._sigmoid(edges), masked_sigmoid(edges),
+                          equal_nan=True)
+    assert np.isnan(ad._sigmoid(edges)[-1])
     batch = rng.normal(scale=5.0, size=(4, 64, 16))
     assert np.array_equal(ad._sigmoid(batch), masked_sigmoid(batch))
     buf = np.empty_like(batch)
     assert ad._sigmoid(batch, out=buf) is buf
     assert np.array_equal(buf, masked_sigmoid(batch))
+
+
+def test_no_grad_records_no_graph_and_restores_the_mode():
+    a = ad.Var([1.0, -2.0])
+    assert ad.grad_enabled()
+    with ad.no_grad():
+        assert not ad.grad_enabled()
+        y = ad.vsum(ad.tanh(a * a + 1.0))
+        with ad.no_grad():
+            pass
+        assert not ad.grad_enabled()
+    assert ad.grad_enabled()
+    assert y._parents == () and y._backward is None
+    npt.assert_array_equal(y.data, np.tanh(np.array([2.0, 5.0])).sum())
+    y2 = ad.vsum(ad.tanh(a * a + 1.0))
+    assert y2._parents and y2._backward is not None
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.grad_enabled()
+    y2.backward()
+    npt.assert_allclose(a.grad, 2 * a.data * (1 - np.tanh(a.data ** 2 + 1) ** 2))
 
 
 def test_clip_clamps_and_blocks_gradient_outside():

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from carelens import autodiff as ad
 from carelens import context as ctx
@@ -42,6 +43,24 @@ def mha_oracle(features, heads):
         outs.append(out)
         attns.append(alpha)
     return np.concatenate(outs, axis=-1), attns
+
+
+def cov_penalty(u) -> ad.Var:
+    """The covariance penalty of (B, K) rows: ``decorrelation_total`` with
+    one feature position."""
+    u = ad.as_var(u)
+    return ctx.decorrelation_total(ad.reshape(u, (u.shape[0], 1, u.shape[1])))
+
+
+def pair_penalty_2d(u) -> ad.Var:
+    """The (B, K) penalty composed on 2-D operands; the pooled penalty must
+    equal it bit for bit, values and gradients."""
+    u = ad.as_var(u)
+    b_size, k = u.shape
+    cent = u - ad.vmean(u, axis=0, keepdims=True)
+    cov = (ad.transpose(cent) @ cent) * (1.0 / b_size)
+    off = 1.0 - np.eye(k)
+    return 0.5 * ad.vsum(cov * cov * off)
 
 
 def decorr_oracle(u):
@@ -143,21 +162,21 @@ def test_encode_is_permutation_equivariant():
 def test_decorrelation_hand_case():
     # B=2, u = (1,0) and (0,1): C = [[.25,-.25],[-.25,.25]], loss = 0.0625
     u = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = float(ctx.decorrelation_loss(u).data)
+    loss = float(cov_penalty(u).data)
     assert abs(loss - 0.0625) < 1e-12
 
 
 def test_decorrelation_zero_cases():
-    assert float(ctx.decorrelation_loss(np.array([[3.0, -1.0, 2.0]])).data) == 0.0
+    assert float(cov_penalty(np.array([[3.0, -1.0, 2.0]])).data) == 0.0
     const = np.tile([2.0, 5.0], (4, 1))
-    assert float(ctx.decorrelation_loss(const).data) == 0.0
+    assert float(cov_penalty(const).data) == 0.0
 
 
 def test_decorrelation_nonnegative_and_matches_oracle():
     rng = np.random.default_rng(12)
     for _ in range(25):
         u = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 6))))
-        got = float(ctx.decorrelation_loss(u).data)
+        got = float(cov_penalty(u).data)
         assert got >= 0.0
         assert abs(got - decorr_oracle(u)) < 1e-12
 
@@ -166,8 +185,8 @@ def test_decorrelation_ignores_mean_shift():
     rng = np.random.default_rng(13)
     u = rng.normal(size=(5, 4))
     shifted = u + np.array([10.0, -3.0, 0.5, 100.0])
-    a = float(ctx.decorrelation_loss(u).data)
-    b = float(ctx.decorrelation_loss(shifted).data)
+    a = float(cov_penalty(u).data)
+    b = float(cov_penalty(shifted).data)
     assert abs(a - b) < 1e-9
 
 
@@ -175,14 +194,14 @@ def test_duplicated_coordinates_raise_penalty():
     rng = np.random.default_rng(14)
     indep = rng.normal(size=(64, 2))
     dup = np.stack([indep[:, 0], indep[:, 0]], axis=1)
-    assert float(ctx.decorrelation_loss(dup).data) > \
-        10 * float(ctx.decorrelation_loss(indep).data)
+    assert float(cov_penalty(dup).data) > \
+        10 * float(cov_penalty(indep).data)
 
 
 def test_decorrelation_total_averages_positions():
     rng = np.random.default_rng(15)
     u_all = rng.normal(size=(6, 4, 3))
-    per_pos = [float(ctx.decorrelation_loss(u_all[:, p, :]).data)
+    per_pos = [float(cov_penalty(u_all[:, p, :]).data)
                for p in range(4)]
     got = float(ctx.decorrelation_total(ad.Var(u_all)).data)
     npt.assert_allclose(got, np.mean(per_pos), atol=1e-13)
@@ -192,14 +211,33 @@ def test_decorrelation_total_pooled_flattens():
     rng = np.random.default_rng(16)
     u_all = rng.normal(size=(6, 4, 3))
     got = float(ctx.decorrelation_total(ad.Var(u_all), pool_positions=True).data)
-    want = float(ctx.decorrelation_loss(u_all.reshape(24, 3)).data)
+    want = float(cov_penalty(u_all.reshape(24, 3)).data)
     assert abs(got - want) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(64, 5, 16), (36, 5, 16), (1, 5, 8),
+                                   (7, 3, 4), (120, 5, 16), (3, 1, 2)])
+def test_pooled_penalty_is_bitwise_the_two_dimensional_form(shape):
+    # pool_positions runs the (B*P, 1, K) reshape through the per-position
+    # code; loss and input gradient must equal the 2-D form bit for bit
+    b_size, p_len, k = shape
+    u = np.random.default_rng(b_size * 31 + k).normal(size=shape)
+    results = []
+    for loss_of in (lambda v: ctx.decorrelation_total(v, pool_positions=True),
+                    lambda v: pair_penalty_2d(ad.reshape(v, (b_size * p_len, k)))):
+        v = ad.Var(u)
+        loss = loss_of(v)
+        loss.backward()
+        results.append((loss.data, v.grad))
+    (loss, grad), (loss_ref, grad_ref) = results
+    assert np.array_equal(loss, loss_ref)
+    assert np.array_equal(grad, grad_ref)
 
 
 def test_decorrelation_gradients():
     store = ParamStore()
     store.add("u", np.random.default_rng(17).normal(size=(4, 3)))
-    errs = grad_check(lambda s: ctx.decorrelation_loss(s.leaf("u")), store,
+    errs = grad_check(lambda s: cov_penalty(s.leaf("u")), store,
                       h=1e-5)
     assert errs["u"] < 1e-6
 

@@ -7,10 +7,16 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from carelens.data import (Dataset, DatasetFormatError, PatientCase,
-                           fit_normalization, load_dataset, make_batches,
-                           normalize, save_dataset, split_folds)
+from carelens.data import (STD_FLOOR, Dataset, DatasetFormatError, PatientCase,
+                           apply_normalization, fit_normalization,
+                           load_dataset, make_batches, normalize,
+                           save_dataset, split_folds)
+
+PROPERTY = settings(max_examples=80, deadline=None, database=None,
+                    derandomize=True)
 
 HEADER = {"feature_names": ["hr", "bp"], "baseline_names": ["age", "flag"]}
 
@@ -328,3 +334,98 @@ def test_batches_respect_id_subset():
     batches = make_batches(ds, subset, 3, seed=1)
     seen = sorted(c.id for b in batches for c in b)
     assert seen == sorted(subset)
+
+
+# -- properties -------------------------------------------------------------------
+
+
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# bounded, so that the rounding of a z-score stays far below 1e-12
+SMALL_FLOAT = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def cohorts(draw, values=ANY_FLOAT, n_flags=0):
+    """Valid cohorts: 1-3 features, 1-3 baseline dimensions (the last
+    ``n_flags`` of them 0/1 flags), 1-6 cases of 1-6 visits."""
+    n_feat = draw(st.integers(1, 3))
+    n_base = draw(st.integers(n_flags, 3)) or 1
+    cases = []
+    for i in range(draw(st.integers(1, 6))):
+        later = draw(st.lists(st.floats(0.0, 1e9, exclude_min=True), max_size=5,
+                              unique=True))
+        ts = np.array([0.0] + sorted(later))
+        base = draw(arrays(np.float64, n_base, elements=values))
+        base[n_base - n_flags:] = draw(arrays(np.float64, n_flags,
+                                              elements=st.sampled_from([0.0, 1.0])))
+        cases.append(PatientCase(f"c{i}", base, ts,
+                                 draw(arrays(np.float64, (n_feat, len(ts)),
+                                             elements=values)),
+                                 draw(st.integers(0, 1))))
+    return Dataset([f"f{n}" for n in range(n_feat)],
+                   [f"b{j}" for j in range(n_base)], cases)
+
+
+@PROPERTY
+@given(cohorts())
+def test_property_save_load_round_trips_bit_for_bit(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("cohort") / "data.jsonl"
+    save_dataset(ds, path)
+    got = load_dataset(path)
+    assert got.rejects == []
+    assert (got.feature_names, got.baseline_names) == (ds.feature_names,
+                                                       ds.baseline_names)
+    assert [(c.id, c.label) for c in got.cases] == [(c.id, c.label) for c in ds.cases]
+    for a, b in zip(got.cases, ds.cases):
+        for field in ("baseline", "timestamps", "records"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+@PROPERTY
+@given(cohorts(values=SMALL_FLOAT, n_flags=1), st.data())
+def test_property_normalization_standardizes_the_training_split(ds, data):
+    ids = ds.ids()
+    train = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    norm = fit_normalization(ds, train)
+    out = apply_normalization(ds, norm)
+    raw = ds.subset(train)
+    done = out.subset(train)
+    pooled_raw = np.concatenate([c.records for c in raw], axis=1)
+    pooled = np.concatenate([c.records for c in done], axis=1)
+    base_raw = np.stack([c.baseline for c in raw], axis=1)
+    base = np.stack([c.baseline for c in done], axis=1)
+    flags = np.array([np.isin(r, (0.0, 1.0)).all() for r in base_raw])
+    npt.assert_array_equal(norm.baseline_is_flag, flags)
+    for rows_raw, rows, skip in ((pooled_raw, pooled, np.zeros(len(pooled), bool)),
+                                 (base_raw, base, flags)):
+        for r_raw, r, is_flag in zip(rows_raw, rows, skip):
+            if is_flag or r_raw.std() < 0.1:
+                continue        # too narrow to check to 1e-12
+            assert abs(r.mean()) <= 1e-12
+            assert abs(r.std() - 1.0) <= 1e-12
+    # flags pass through untouched, in every case, not only the training ones
+    for c_raw, c in zip(ds.cases, out.cases):
+        assert c.baseline[flags].tobytes() == c_raw.baseline[flags].tobytes()
+        assert c.timestamps.tobytes() == c_raw.timestamps.tobytes()
+    assert (norm.feature_std >= STD_FLOOR).all()
+
+
+@PROPERTY
+@given(cohorts(values=SMALL_FLOAT, n_flags=1), st.randoms(use_true_random=False))
+def test_property_normalization_ignores_case_order(ds, rnd):
+    ids = ds.ids()
+    train = ids[: max(1, len(ids) // 2)]
+    shuffled = Dataset(ds.feature_names, ds.baseline_names,
+                       rnd.sample(ds.cases, len(ds.cases)))
+    norm = fit_normalization(ds, train)
+    norm_s = fit_normalization(shuffled, rnd.sample(train, len(train)))
+    for field in ("feature_mean", "feature_std", "baseline_mean", "baseline_std"):
+        npt.assert_allclose(getattr(norm_s, field), getattr(norm, field),
+                            rtol=1e-12, atol=1e-12, err_msg=field)
+    npt.assert_array_equal(norm_s.baseline_is_flag, norm.baseline_is_flag)
+    # with the same statistics each case comes out bit for bit the same
+    by_id = {c.id: c for c in apply_normalization(ds, norm).cases}
+    for c in apply_normalization(shuffled, norm).cases:
+        for field in ("baseline", "timestamps", "records"):
+            assert getattr(c, field).tobytes() == getattr(by_id[c.id], field).tobytes()

@@ -67,8 +67,9 @@ def composed_gru(x, p):
     return ad.stack(states, axis=1)
 
 
-def composed_gru_forward_batch(records, channels):
-    """Drop-in for ``gru_forward_batch`` built on ``composed_gru``."""
+def composed_gru_forward_batch(records, channels, keep=None):
+    """Drop-in for unpadded ``gru_forward_batch`` built on ``composed_gru``."""
+    assert keep is None
     return ad.stack([composed_gru(records[:, n, :], p)
                      for n, p in enumerate(channels)], axis=0)
 
@@ -134,9 +135,11 @@ def per_channel_attention(hidden, delta, p, time_aware=True):
     return summary, alpha
 
 
-def per_channel_attention_batch(hidden, delta, channels, time_aware=True):
-    """Drop-in for ``time_aware_attention_batch`` built on
+def per_channel_attention_batch(hidden, delta, channels, time_aware=True,
+                                keep=None):
+    """Drop-in for unpadded ``time_aware_attention_batch`` built on
     ``per_channel_attention``."""
+    assert keep is None
     outs = [per_channel_attention(hidden[n], delta, p, time_aware)
             for n, p in enumerate(channels)]
     return (ad.stack([f for f, _ in outs], axis=0),
@@ -217,6 +220,26 @@ def test_batched_attention_is_bitwise_the_per_channel_loop(monkeypatch, n_feat,
         for n in range(n_feat):
             assert np.abs(got[2][f"channel{n}.attn.W_k"]).max() > 0
             assert got[2][f"channel{n}.attn.beta_raw"] != 0
+
+
+def test_masked_gru_holds_pad_states_at_positive_zero():
+    store = channel_store(d=5, n_channels=2, seed=9)
+    for name, e in store.items():
+        if ".gru.b_" in name:       # nonzero, so a pad step would move h
+            e.value[...] = np.random.default_rng(10).normal(size=e.value.shape)
+    channels = [emb.channel_leaves(store.leaves(), n) for n in range(2)]
+    rng = np.random.default_rng(11)
+    records = rng.normal(size=(3, 2, 6))
+    keep = np.arange(6) >= np.array([[0], [2], [5]])        # 6, 4 and 1 visits
+    records[~np.broadcast_to(keep[:, None, :], records.shape)] = 0.0
+    hidden = emb.gru_forward_batch(records, channels, keep).data
+    pads = hidden[:, ~keep]
+    assert pads.size and not pads.any() and not np.signbit(pads).any()
+    for b in range(3):
+        real = records[b][:, keep[b]]
+        npt.assert_allclose(hidden[:, b][:, keep[b]],
+                            emb.gru_forward_batch(real[None], channels).data[:, 0],
+                            atol=1e-13, rtol=0)
 
 
 def test_gru_saturated_update_gate_freezes_state():

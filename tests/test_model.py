@@ -10,12 +10,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import carelens.model as model_mod
+from carelens import autodiff as ad
 from carelens.data import (Dataset, PatientCase, apply_normalization,
                            fit_normalization)
-from carelens.head import PROB_CLAMP
+from carelens.head import PROB_CLAMP, cross_entropy
 from carelens.model import (FittedModel, ModelConfig, batch_tensors,
                             forward_batch, init_params, load_model,
-                            save_model, score_cases)
+                            pad_cases, save_model, score_cases)
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -315,8 +317,6 @@ def test_batched_traces_equal_per_case_traces_in_ids_order():
 
 
 def test_score_normalizes_only_the_selected_cases(monkeypatch):
-    import carelens.model as model_mod
-
     ds, model = _normalized_model(30, seed=20)
     ids = ds.ids()[3:10]
     whole = apply_normalization(ds, model.normalization)
@@ -333,3 +333,151 @@ def test_score_normalizes_only_the_selected_cases(monkeypatch):
     npt.assert_array_equal(labels, [ds.case(i).label for i in ids])
     model.trace_cases(ds, ids)
     assert seen == [len(ids), len(ids)]
+
+
+# -- padded, chunked, tape-free inference -----------------------------------------
+
+
+def biased_store(cfg, seed):
+    """``init_params`` with random GRU biases.  At init they are 0, and a
+    zero input then leaves a zero state zero, which would hide what the
+    GRU does at a pad step."""
+    store = init_params(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for name, e in store.items():
+        if ".gru.b_" in name:
+            e.value[...] = rng.normal(size=e.value.shape)
+    return store
+
+
+def run_chunk(store, cfg, cases, loss_rows=None):
+    """Forward pass of ``pad_cases(cases)`` with its trace; with
+    ``loss_rows``, also every parameter gradient of those rows'
+    cross-entropy."""
+    records, delta, baseline, labels, keep = pad_cases(cases)
+    store.zero_grad()
+    prob, _, trace = forward_batch(store.leaves(), records, delta, baseline,
+                                   cfg, collect_trace=True, keep=keep)
+    grads = None
+    if loss_rows is not None:
+        cross_entropy(prob[loss_rows], labels[loss_rows]).backward()
+        grads = {n: e.grad.copy() for n, e in store.items()}
+    return prob.data, trace, grads, keep
+
+
+def assert_case_matches(trace, j, want, b, t_len):
+    """Row ``j`` of a (padded) trace equals row ``b`` of ``want`` to 1e-12,
+    and its pads get exactly zero weight."""
+    for a, a_ref in zip(trace["ta_alphas"], want["ta_alphas"]):
+        npt.assert_allclose(a[j, -t_len:], a_ref[b, -t_len:], atol=1e-12, rtol=0)
+        assert not a[j, :-t_len].any()
+    for a, a_ref in zip(trace["head_attn"], want["head_attn"]):
+        npt.assert_allclose(a[j], a_ref[b], atol=1e-12, rtol=0)
+    npt.assert_allclose(trace["final_alpha"][j], want["final_alpha"][b],
+                        atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("pad", [1, 5])
+@pytest.mark.parametrize("t_len", [1, 2, 24])
+def test_left_padding_leaves_a_case_unchanged(t_len, pad):
+    cfg = tiny_config()
+    store = biased_store(cfg, 21)
+    case, = make_cases(1, t_len, cfg, seed=t_len)
+    longer, = make_cases(1, t_len + pad, cfg, seed=100 + pad)
+    prob, trace, grads, keep = run_chunk(store, cfg, [case, longer], slice(0, 1))
+    npt.assert_array_equal(keep[0], np.arange(t_len + pad) >= pad)
+    assert keep[1].all()
+    prob_ref, trace_ref, grads_ref, keep_ref = run_chunk(store, cfg, [case],
+                                                         slice(0, 1))
+    assert keep_ref is None
+    assert abs(prob[0] - prob_ref[0]) <= 1e-12
+    assert_case_matches(trace, 0, trace_ref, 0, t_len)
+    for name, g in grads_ref.items():
+        npt.assert_allclose(grads[name], g, atol=1e-12, rtol=0, err_msg=name)
+    assert any(np.abs(g).max() > 0 for n, g in grads.items() if ".gru." in n)
+
+
+def test_mixed_length_chunk_equals_per_length_batches():
+    cfg = tiny_config()
+    store = biased_store(cfg, 22)
+    by_len = {t: make_cases(3, t, cfg, seed=t) for t in (1, 3, 7, 12)}
+    cases = [c for t in (7, 1, 12, 3) for c in by_len[t]]
+    prob, trace, _, keep = run_chunk(store, cfg, cases)
+    npt.assert_array_equal(keep.sum(axis=1), [c.n_visits for c in cases])
+    for t, group in by_len.items():
+        prob_ref, trace_ref, _, _ = run_chunk(store, cfg, group)
+        for b, c in enumerate(group):
+            j = next(i for i, x in enumerate(cases) if x is c)
+            assert abs(prob[j] - prob_ref[b]) <= 1e-12
+            assert_case_matches(trace, j, trace_ref, b, t)
+
+
+def test_equal_length_chunk_is_exactly_batch_tensors():
+    cases = make_cases(5, 6, tiny_config(), seed=23)
+    *arrays, keep = pad_cases(cases)
+    assert keep is None
+    for got, want in zip(arrays, batch_tensors(cases)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def test_pad_cases_fills_pads_with_zeros():
+    cfg = tiny_config()
+    short, = make_cases(1, 2, cfg, seed=24)
+    long_, = make_cases(1, 5, cfg, seed=25)
+    records, delta, _, _, keep = pad_cases([short, long_])
+    npt.assert_array_equal(records[0], np.pad(short.records, ((0, 0), (3, 0))))
+    npt.assert_array_equal(delta[0], [0, 0, 0, short.timestamps[1], 0])
+    npt.assert_array_equal(keep, [[0, 0, 0, 1, 1], [1] * 5])
+
+
+def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatch):
+    cfg = tiny_config()
+    store = biased_store(cfg, 26)
+    lengths = [9, 2, 30, 4, 4, 9, 1, 2, 17, 4]
+    cases = [make_cases(1, t, cfg, seed=40 + i)[0] for i, t in enumerate(lengths)]
+    want = [score_cases(store, cfg, [c])[0] for c in cases]
+    shapes = []
+
+    def spy(*args, **kw):
+        shapes.append(args[1].shape)
+        assert not ad.grad_enabled()
+        return forward_batch(*args, **kw)
+
+    monkeypatch.setattr(model_mod, "forward_batch", spy)
+    monkeypatch.setattr(model_mod, "CHUNK_CELLS", 20)
+    got = score_cases(store, cfg, cases)
+    npt.assert_allclose(got, want, atol=1e-12, rtol=0)
+    # sorted 1,2,2,4,4,4,9,9,17,30; greedy fill up to 20 cells; the 30-visit
+    # case is over budget and runs alone
+    assert [(b, t) for b, _, t in shapes] == [(5, 4), (2, 9), (1, 9), (1, 17), (1, 30)]
+    assert ad.grad_enabled()
+
+
+def graph_free_outputs(store, cfg, cases):
+    with ad.no_grad():
+        prob, trace, _, _ = run_chunk(store, cfg, cases)
+    return prob, trace
+
+
+def test_no_grad_forward_records_no_graph_and_the_same_values(monkeypatch):
+    cfg = tiny_config()
+    store = biased_store(cfg, 27)
+    cases = make_cases(2, 3, cfg, seed=28) + make_cases(3, 6, cfg, seed=29)
+    prob_ref, trace_ref, _, _ = run_chunk(store, cfg, cases)
+    made = []
+    init = ad.Var.__init__
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(self)
+
+    monkeypatch.setattr(ad.Var, "__init__", recording_init)
+    prob, trace = graph_free_outputs(store, cfg, cases)
+    assert len(made) > 100
+    assert all(v._parents == () and v._backward is None for v in made)
+    assert np.array_equal(prob, prob_ref)
+    for key in ("ta_alphas", "head_attn"):
+        for a, a_ref in zip(trace[key], trace_ref[key]):
+            assert np.array_equal(a, a_ref)
+    assert np.array_equal(trace["final_alpha"], trace_ref["final_alpha"])

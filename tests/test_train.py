@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -40,6 +43,19 @@ def test_fit_is_bitwise_deterministic():
     s1, _ = m1.score(ds)
     s2, _ = m2.score(ds)
     npt.assert_array_equal(s1, s2)
+
+
+def test_fit_on_mixed_visit_counts_is_bitwise_pinned():
+    # 48 cases of 6-24 visits: the trained values and the log (validation
+    # scores feed early stopping) must not move by a bit
+    ds = toy_dataset(seed=7)
+    assert len({c.n_visits for c in ds.cases}) > 10
+    train_ids, val_ids = split_ids(ds, 12)
+    model = fit(ds, train_ids, val_ids, quick_config())
+    digest = hashlib.sha256(model.store.flat("value").tobytes())
+    digest.update(json.dumps(model.log).encode())
+    assert digest.hexdigest() == ("569d7a5ec73ac6c8f2c7c3750f93b358"
+                                  "4acfd8592de03840b292c947f9af7976")
 
 
 def test_fit_seed_changes_model():

@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -35,10 +37,8 @@ GENERATE_OPTS = {"cases": 200, "features": 4, "baseline": 3, "profile": None,
                  "interaction": [], "noise": 0.0, "prevalence": 0.5, "seed": 0,
                  "w_fast": 1.0, "w_slow": 1.0, "w_int": 1.0}
 
-TRAIN_OPTS = {"lr": 1e-3, "batch_size": 32, "max_epochs": 100, "patience": 10,
-              "lambda_decorr": 1.0, "seed": 0, "val_fraction": 0.15,
-              "d": 32, "heads": 4, "d_ff": None, "per_position_keys": False,
-              "time_aware": True, "pool_positions": False}
+TRAIN_OPTS = asdict(TrainConfig())
+TRAIN_TYPES = get_type_hints(TrainConfig)      # e.g. "d_ff": int | None
 
 EVAL_OPTS = {"bootstrap": 100, "seed": 0}
 
@@ -76,17 +76,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _typed(key: str, value, hint):
+    """``value`` if its exact type is one that ``hint`` names (so a bool is
+    no int); an int may fill a float field and is stored as a float."""
+    kinds = get_args(hint) or (hint,)
+    if type(value) not in kinds and not (hint is float and type(value) is int):
+        raise CliError(f"config key '{key}' must be "
+                       f"{getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
+    return float(value) if hint is float else value
+
+
 def _train_config(opts: dict) -> TrainConfig:
-    return TrainConfig(
-        lr=float(opts["lr"]), batch_size=int(opts["batch_size"]),
-        max_epochs=int(opts["max_epochs"]), patience=int(opts["patience"]),
-        lambda_decorr=float(opts["lambda_decorr"]), seed=int(opts["seed"]),
-        val_fraction=float(opts["val_fraction"]), d=int(opts["d"]),
-        heads=int(opts["heads"]),
-        d_ff=None if opts["d_ff"] is None else int(opts["d_ff"]),
-        per_position_keys=bool(opts["per_position_keys"]),
-        time_aware=bool(opts["time_aware"]),
-        pool_positions=bool(opts["pool_positions"]))
+    return TrainConfig(**{k: _typed(k, opts[k], t) for k, t in TRAIN_TYPES.items()})
 
 
 def cmd_generate(args) -> int:
@@ -172,8 +173,8 @@ def cmd_cv(args) -> int:
     out = _out_dir(args)
     dataset = load_dataset(args.data)
     config = _train_config(opts)
-    report = cross_validate(dataset, int(opts["k"]), config,
-                            workers=int(opts["workers"]))
+    report = cross_validate(dataset, _typed("k", opts["k"], int), config,
+                            workers=_typed("workers", opts["workers"], int))
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -185,23 +186,28 @@ def cmd_cv(args) -> int:
 def _parse_filters(pairs: list[str]) -> list[tuple[str, float]]:
     out = []
     for pair in pairs:
-        key, sep, val = pair.partition("=")
-        if not sep:
-            raise CliError(f"bad filter '{pair}', expected KEY=VALUE")
-        out.append((key.strip(), float(val)))
+        key, _, val = pair.partition("=")
+        try:
+            value = float(val)
+        except ValueError:
+            raise CliError(f"bad filter '{pair}', expected KEY=NUMBER") from None
+        if key.strip() == "label" and value not in (0.0, 1.0):
+            raise CliError(f"bad filter '{pair}', label must be 0 or 1")
+        out.append((key.strip(), value))
     return out
 
 
 def cmd_inspect(args) -> int:
     opts = _resolve(args, INSPECT_OPTS)
+    filters = _parse_filters(args.filter or [])
     out = _out_dir(args)
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     model.check_compatible(dataset)
     selected = dataset.cases
-    for key, val in _parse_filters(args.filter or []):
+    for key, val in filters:
         if key == "label":
-            selected = [c for c in selected if c.label == int(val)]
+            selected = [c for c in selected if c.label == val]
         elif key in dataset.baseline_names:
             j = dataset.baseline_names.index(key)
             selected = [c for c in selected if c.baseline[j] == val]
@@ -276,21 +282,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     def train_flags(p):
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--lambda-decorr", dest="lambda_decorr", type=float)
-        p.add_argument("--val-fraction", dest="val_fraction", type=float)
-        p.add_argument("--d", type=int, help="embedding width")
-        p.add_argument("--heads", type=int)
-        p.add_argument("--d-ff", dest="d_ff", type=int)
-        p.add_argument("--per-position-keys", dest="per_position_keys",
-                       action=argparse.BooleanOptionalAction, default=None)
-        p.add_argument("--time-aware", dest="time_aware",
-                       action=argparse.BooleanOptionalAction, default=None)
-        p.add_argument("--pool-positions", dest="pool_positions",
-                       action=argparse.BooleanOptionalAction, default=None)
+        # one flag per TrainConfig field; --seed comes from common()
+        for name, hint in TRAIN_TYPES.items():
+            flag = "--" + name.replace("_", "-")
+            if hint is bool:
+                p.add_argument(flag, dest=name, default=None,
+                               action=argparse.BooleanOptionalAction)
+            elif name != "seed":    # int | None parses as int
+                p.add_argument(flag, dest=name, type=(get_args(hint) or (hint,))[0])
 
     p = sub.add_parser("train", help="fit a model")
     common(p)

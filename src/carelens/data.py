@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,7 +103,6 @@ class Dataset:
     feature_names: list[str]
     baseline_names: list[str]
     cases: list[PatientCase]
-    normalization: Normalization | None = None
     rejects: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -247,16 +246,17 @@ def fit_normalization(dataset: Dataset, train_ids: Iterable[str]) -> Normalizati
 
 
 def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
-    out_cases = []
-    for c in dataset.cases:
-        out_cases.append(replace(
-            c,
-            baseline=(c.baseline - norm.baseline_mean) / norm.baseline_std,
-            timestamps=c.timestamps.copy(),
-            records=(c.records - norm.feature_mean[:, None])
-                    / norm.feature_std[:, None]))
-    return Dataset(list(dataset.feature_names), list(dataset.baseline_names),
-                   out_cases, normalization=norm)
+    """Z-score all cases in one pass; each case keeps its timestamps array."""
+    out = Dataset(list(dataset.feature_names), list(dataset.baseline_names), [])
+    if dataset.cases:
+        records = np.concatenate([c.records for c in dataset.cases], axis=1)
+        records = (records - norm.feature_mean[:, None]) / norm.feature_std[:, None]
+        base = np.stack([c.baseline for c in dataset.cases])
+        base = (base - norm.baseline_mean) / norm.baseline_std
+        splits = np.cumsum([c.n_visits for c in dataset.cases[:-1]])
+        out.cases = [PatientCase(c.id, b, c.timestamps, r, c.label) for c, b, r
+                     in zip(dataset.cases, base, np.split(records, splits, axis=1))]
+    return out
 
 
 def normalize(dataset: Dataset, train_ids: Iterable[str]) -> Dataset:

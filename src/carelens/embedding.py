@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .data import PatientCase
 from .optim import uniform_init
 
 GATES = ("z", "r", "h")
@@ -166,13 +165,6 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
                tuple(v for vs in leaves.values() for v in vs), bwd)
 
 
-def gru_forward(series, p: dict[str, Var]) -> Var:
-    """Single-case wrapper: (T,) series -> (T, d) hidden states."""
-    series = np.asarray(series, dtype=np.float64)
-    out = gru_forward_batch(series[None, None, :], [p])
-    return ad.reshape(out, out.shape[2:])
-
-
 def time_damped_scores(c: Var, delta: np.ndarray, beta: Var) -> Var:
     """Pre-softmax attention scores with time damping (see module docstring)."""
     damp = ad.log(np.e + (1.0 - ad.sigmoid(c)) * delta)
@@ -221,40 +213,6 @@ def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
     return summary, alpha
 
 
-def time_aware_attention(hidden, timestamps, p: dict[str, Var],
-                         time_aware: bool = True) -> tuple[Var, Var]:
-    """Single-case wrapper: (T, d) states + (T,) timestamps -> ((d,), (T,))."""
-    hidden = ad.as_var(hidden)
-    t_len, d = hidden.shape
-    ts = np.asarray(timestamps, dtype=np.float64)
-    delta = (ts[-1] - ts)[None, :]
-    f, alpha = time_aware_attention_batch(ad.reshape(hidden, (1, 1, t_len, d)),
-                                          delta, [p], time_aware)
-    return ad.reshape(f, (d,)), ad.reshape(alpha, (t_len,))
-
-
 def embed_baseline_batch(base, w_emb: Var) -> Var:
     """Linear, bias-free embedding of (B, S) baselines -> (B, d)."""
     return ad.as_var(base) @ ad.transpose(w_emb)
-
-
-def embed_baseline(base, w_emb: Var) -> Var:
-    """Single-case wrapper: (S,) -> (d,)."""
-    out = embed_baseline_batch(np.asarray(base, dtype=np.float64)[None, :], w_emb)
-    return ad.reshape(out, (out.shape[1],))
-
-
-def build_feature_matrix(case: PatientCase, lv: dict[str, Var], n_features: int,
-                         time_aware: bool = True) -> tuple[Var, list[np.ndarray]]:
-    """Rows 0..N-1: per-feature attention summaries; row N: baseline embed.
-
-    Returns the (N+1, d) matrix and the per-feature attention weights.
-    """
-    delta = (case.timestamps[-1] - case.timestamps)[None, :]
-    channels = [channel_leaves(lv, n) for n in range(n_features)]
-    hidden = gru_forward_batch(case.records[None], channels)
-    f, alpha = time_aware_attention_batch(hidden, delta, channels, time_aware)
-    base = embed_baseline(case.baseline, lv["baseline.W_emb"])
-    rows = ad.concat([ad.reshape(f, (n_features, f.shape[2])),
-                      ad.reshape(base, (1, base.shape[0]))], axis=0)
-    return rows, list(alpha.data[:, 0])

@@ -36,10 +36,6 @@ def final_attention(fstar: Var, lv: dict[str, Var],
     ``per_position_keys`` is set (the baseline row then owns the last one).
     Returns (patient summary (B, d), attention weights (B, P)).
     """
-    fstar = ad.as_var(fstar)
-    squeeze = fstar.ndim == 2
-    if squeeze:
-        fstar = ad.reshape(fstar, (1,) + fstar.shape)
     b_size, p_len, d = fstar.shape
     q = fstar[:, -1, :] @ ad.transpose(lv["head.W_q_base"])      # (B, d)
     if per_position_keys:
@@ -51,21 +47,14 @@ def final_attention(fstar: Var, lv: dict[str, Var],
     alpha = ad.softmax(zeta, axis=-1)                            # (B, P)
     summary = ad.reshape(ad.reshape(alpha, (b_size, 1, p_len)) @ fstar,
                          (b_size, d))
-    if squeeze:
-        return ad.reshape(summary, (d,)), ad.reshape(alpha, (p_len,))
     return summary, alpha
 
 
 def predict(summary: Var, lv: dict[str, Var]) -> Var:
-    """Sigmoid risk probability per row, clamped away from 0 and 1."""
-    summary = ad.as_var(summary)
-    squeeze = summary.ndim == 1
-    if squeeze:
-        summary = ad.reshape(summary, (1,) + summary.shape)
+    """Sigmoid risk probability per row of (B, d), clamped away from 0 and 1."""
     z = summary @ ad.transpose(lv["head.W_out"]) + lv["head.b_out"]
     prob = ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    prob = ad.reshape(prob, (prob.shape[0],))
-    return ad.reshape(prob, ()) if squeeze else prob
+    return ad.reshape(prob, (prob.shape[0],))
 
 
 def cross_entropy(prob: Var, labels) -> Var:

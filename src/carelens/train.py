@@ -9,7 +9,7 @@ models.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,12 +47,11 @@ class TrainConfig:
             raise ValueError("val_fraction must lie in (0, 1)")
 
     def model_config(self, dataset: Dataset) -> ModelConfig:
+        """The model this config trains: every field the two configs share."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                  if hasattr(self, f.name)}
         return ModelConfig(n_features=dataset.n_features,
-                           n_baseline=dataset.n_baseline,
-                           d=self.d, heads=self.heads, d_ff=self.d_ff,
-                           per_position_keys=self.per_position_keys,
-                           time_aware=self.time_aware,
-                           pool_positions=self.pool_positions)
+                           n_baseline=dataset.n_baseline, **shared)
 
 
 def _derive_seed(*parts: int) -> int:

@@ -20,7 +20,8 @@ import carelens.autodiff as ad
 from carelens.autodiff import Var
 from carelens.context import decorrelation_total, multi_head_attention
 from carelens.data import PatientCase
-from carelens.embedding import effective_beta, time_aware_attention, time_damped_scores
+from carelens.embedding import (effective_beta, time_aware_attention_batch,
+                                time_damped_scores)
 from carelens.head import cross_entropy, final_attention
 from carelens.metrics import auprc, auroc, bootstrap_eval, min_se_pplus
 from carelens.model import ModelConfig, batch_tensors, forward_batch, init_params
@@ -151,6 +152,16 @@ def final_oracle(fstar, w_q, key_mats):
     return summary, alpha
 
 
+def time_aware_attention(hidden, timestamps, p):
+    """One case's (T, d) states and (T,) timestamps through the batched
+    production attention as a batch of one: ((d,), (T,)) tape nodes."""
+    t_len, d = hidden.shape
+    ts = np.asarray(timestamps, dtype=np.float64)
+    f, alpha = time_aware_attention_batch(ad.as_var(hidden[None, None]),
+                                          (ts[-1] - ts)[None, :], [p])
+    return ad.reshape(f, (d,)), ad.reshape(alpha, (t_len,))
+
+
 def test_acceptance_02_attention_and_penalty_match_direct_loop_oracles():
     rng = np.random.default_rng(202)
     for _ in range(100):
@@ -206,11 +217,11 @@ def test_acceptance_02_attention_and_penalty_match_direct_loop_oracles():
             shared = rng.normal(size=(d, d))
             key_mats = [shared] * p_len
             lv = {"head.W_q_base": ad.as_var(w_q), "head.W_k": ad.as_var(shared)}
-        summary, alpha = final_attention(ad.as_var(fstar), lv,
+        summary, alpha = final_attention(ad.as_var(fstar[None]), lv,
                                          per_position_keys=per_position)
         s_o, a_o = final_oracle(fstar, w_q, key_mats)
-        assert np.abs(summary.data - s_o).max() <= 1e-12
-        assert np.abs(alpha.data - a_o).max() <= 1e-12
+        assert np.abs(summary.data[0] - s_o).max() <= 1e-12
+        assert np.abs(alpha.data[0] - a_o).max() <= 1e-12
 
 
 # -- 3. decay monotonicity --------------------------------------------------------

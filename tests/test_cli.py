@@ -3,14 +3,17 @@ error reporting, and the inspect exports."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from carelens.cli import main
+from carelens.cli import TRAIN_OPTS, _train_config, build_parser, main
 from carelens.data import load_dataset
+from carelens.train import TrainConfig
 
 TINY_TRAIN = ["--max-epochs", "2", "--d", "8", "--heads", "2",
               "--batch-size", "16", "--lr", "3e-3"]
@@ -307,3 +310,176 @@ def test_train_seed_changes_output(tmp_path, capsys):
     m3 = json.loads((r3 / "model.json").read_text())["params"]
     assert m1 == m2
     assert m1 != m3
+
+
+# -- the train/cv surface, derived from TrainConfig -----------------------------
+
+TRAIN_OPTION_STRINGS = {
+    "-h", "--help", "--config", "--seed", "--out", "--data", "--lr",
+    "--batch-size", "--max-epochs", "--patience", "--lambda-decorr",
+    "--val-fraction", "--d", "--heads", "--d-ff", "--per-position-keys",
+    "--no-per-position-keys", "--time-aware", "--no-time-aware",
+    "--pool-positions", "--no-pool-positions"}
+
+
+def subparser(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command,extras", [("train", set()),
+                                            ("cv", {"k", "workers"})])
+def test_train_and_cv_flags_are_pinned_and_follow_train_config(command, extras):
+    actions = subparser(command)._actions
+    strings = {s for a in actions for s in a.option_strings}
+    assert strings == TRAIN_OPTION_STRINGS | {f"--{e}" for e in extras}
+    dests = {a.dest for a in actions} - {"help", "config", "out", "data"}
+    assert dests == {f.name for f in fields(TrainConfig)} | extras
+
+
+# resolved_config.json as the hand-written option table wrote it
+RESOLVED_DEFAULTS = """{
+  "batch_size": 32,
+  "command": "train",
+  "d": 32,
+  "d_ff": null,
+  "data": "DATA",
+  "heads": 4,
+  "lambda_decorr": 1.0,
+  "lr": 0.001,
+  "max_epochs": 100,
+  "out": "OUT",
+  "patience": 10,
+  "per_position_keys": false,
+  "pool_positions": false,
+  "seed": 0,
+  "time_aware": true,
+  "val_fraction": 0.15
+}
+"""
+
+RESOLVED_FILE_AND_FLAGS = """{
+  "batch_size": 16,
+  "command": "train",
+  "d": 8,
+  "d_ff": null,
+  "data": "DATA",
+  "heads": 2,
+  "lambda_decorr": 0.5,
+  "lr": 0.003,
+  "max_epochs": 1,
+  "out": "OUT",
+  "patience": 10,
+  "per_position_keys": true,
+  "pool_positions": true,
+  "seed": 3,
+  "time_aware": false,
+  "val_fraction": 0.15
+}
+"""
+
+
+def test_resolved_config_bytes_are_unchanged(tmp_path, capsys):
+    data = gen_dir(tmp_path, capsys)
+    path = data / "dataset.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_epochs": 50, "d": 8, "heads": 2,
+                               "batch_size": 16, "lr": 0.003, "d_ff": None,
+                               "time_aware": False, "pool_positions": True}),
+                   encoding="utf-8")
+    runs = [((), RESOLVED_DEFAULTS),
+            (("--config", str(cfg), "--max-epochs", "1", "--per-position-keys",
+              "--lambda-decorr", "0.5", "--seed", "3"), RESOLVED_FILE_AND_FLAGS)]
+    for i, (argv, want) in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        code, _, err = run(capsys, "train", "--out", str(out), "--data",
+                           str(path), *argv)
+        assert code == 0, err
+        got = (out / "resolved_config.json").read_text(encoding="utf-8")
+        assert got == want.replace("DATA", str(path)).replace("OUT", str(out))
+
+
+# -- config-file values must have their option's JSON type -----------------------
+
+
+def config_error(tmp_path, capsys, command, values, extra=()):
+    """Run ``command`` with ``values`` as its config file; the one-line JSON
+    error of a usage failure."""
+    data = gen_dir(tmp_path, capsys, cases=20)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    code, out, err = run(capsys, command, "--out", str(tmp_path / "x"),
+                         "--data", str(data / "dataset.jsonl"),
+                         "--config", str(cfg), *extra)
+    assert code == 2, (out, err)
+    assert len(err.strip().splitlines()) == 1
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1.0, None])
+def test_config_bool_option_takes_only_a_json_bool(tmp_path, capsys, value):
+    msg = config_error(tmp_path, capsys, "train", {"time_aware": value})
+    assert "config key 'time_aware' must be bool" in msg
+
+
+@pytest.mark.parametrize("key,value", [("batch_size", 16.9), ("batch_size", 16.0),
+                                       ("max_epochs", True), ("heads", "2"),
+                                       ("patience", None)])
+def test_config_int_option_takes_only_a_json_integer(tmp_path, capsys, key, value):
+    msg = config_error(tmp_path, capsys, "train", {key: value})
+    assert f"config key '{key}' must be int" in msg
+
+
+@pytest.mark.parametrize("value", ["0.01", True, None, [0.01]])
+def test_config_float_option_takes_only_a_json_number(tmp_path, capsys, value):
+    msg = config_error(tmp_path, capsys, "train", {"lr": value})
+    assert "config key 'lr' must be float" in msg
+
+
+def test_config_null_only_for_d_ff_and_cv_extras_are_checked(tmp_path, capsys):
+    msg = config_error(tmp_path, capsys, "train", {"d_ff": 8.5})
+    assert "config key 'd_ff' must be int | None" in msg
+    msg = config_error(tmp_path, capsys, "cv", {"k": 2.5})
+    assert "config key 'k' must be int" in msg
+    msg = config_error(tmp_path, capsys, "cv", {"workers": None})
+    assert "config key 'workers' must be int" in msg
+
+
+def test_config_values_of_the_right_type_become_the_train_config():
+    config = _train_config(dict(TRAIN_OPTS, lr=1, lambda_decorr=0, d_ff=None,
+                                time_aware=False, batch_size=16))
+    assert config == TrainConfig(lr=1.0, lambda_decorr=0.0, time_aware=False,
+                                 batch_size=16)
+    assert type(config.lr) is float and type(config.lambda_decorr) is float
+    assert _train_config(dict(TRAIN_OPTS, d_ff=64)).d_ff == 64
+
+
+# -- inspect filters are numbers, and a label is 0 or 1 ---------------------------
+
+
+@pytest.mark.parametrize("pair,why", [("label=0.5", "label must be 0 or 1"),
+                                      ("label=2", "label must be 0 or 1"),
+                                      ("label=abc", "expected KEY=NUMBER"),
+                                      ("flag1=abc", "expected KEY=NUMBER"),
+                                      ("label", "expected KEY=NUMBER")])
+def test_bad_filter_is_usage_error_before_any_file_is_read(tmp_path, capsys,
+                                                           pair, why):
+    code, _, err = run(capsys, "inspect", "--out", str(tmp_path / "x"),
+                       "--model", str(tmp_path / "missing.json"),
+                       "--data", str(tmp_path / "missing.jsonl"),
+                       "--filter", "label=1", "--filter", pair)
+    assert code == 2
+    assert json.loads(err.strip())["error"] == f"bad filter '{pair}', {why}"
+
+
+def test_label_filter_takes_a_float_spelling_of_0(tmp_path, capsys):
+    data = gen_dir(tmp_path, capsys)
+    run_dir = train_dir(tmp_path, capsys, data, extra=("--max-epochs", "0"))
+    code, stdout, _ = run(capsys, "inspect", "--out", str(tmp_path / "y"),
+                          "--model", str(run_dir / "model.json"),
+                          "--data", str(data / "dataset.jsonl"),
+                          "--filter", "label=0.0")
+    n_neg = int((load_dataset(data / "dataset.jsonl").labels() == 0).sum())
+    assert code == 0 and f"inspected {n_neg} cases" in stdout

@@ -252,7 +252,8 @@ def test_binary_baselines_pass_through():
              for i in range(8)]
     ds = Dataset(["x"], ["age", "flag"], cases)
     out = normalize(ds, ds.ids())
-    npt.assert_array_equal(out.normalization.baseline_is_flag, [False, True])
+    npt.assert_array_equal(fit_normalization(ds, ds.ids()).baseline_is_flag,
+                           [False, True])
     flags = np.array([c.baseline[1] for c in out.cases])
     npt.assert_array_equal(flags, [float(i % 2) for i in range(8)])
     ages = np.array([c.baseline[0] for c in out.cases])

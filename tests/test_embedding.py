@@ -82,15 +82,16 @@ def test_gru_zero_parameters_give_zero_states():
     for name in store.names():
         if ".gru." in name:
             store.value(name)[...] = 0.0
-    hidden = emb.gru_forward([1.0, -2.0, 3.5], emb.channel_leaves(store.leaves(), 0))
-    npt.assert_array_equal(hidden.data, np.zeros((3, 5)))
+    hidden = emb.gru_forward_batch(np.array([[[1.0, -2.0, 3.5]]]),
+                                   [emb.channel_leaves(store.leaves(), 0)])
+    npt.assert_array_equal(hidden.data[0, 0], np.zeros((3, 5)))
 
 
 def test_gru_single_step_matches_closed_form():
     store = channel_store(d=4, seed=1)
     p = emb.channel_leaves(store.leaves(), 0)
     x = 0.75
-    hidden = emb.gru_forward([x], p).data
+    hidden = emb.gru_forward_batch(np.array([[[x]]]), [p]).data[0, 0]
     z = sigmoid(p["W_z"].data[:, 0] * x + p["b_z"].data)
     cand = np.tanh(p["W_h"].data[:, 0] * x + p["b_h"].data)
     npt.assert_allclose(hidden[0], z * cand, atol=1e-12, rtol=0)
@@ -102,7 +103,7 @@ def test_gru_matches_reference_recurrence():
     rng = np.random.default_rng(3)
     for _ in range(5):
         series = rng.normal(size=rng.integers(1, 8))
-        npt.assert_allclose(emb.gru_forward(series, p).data,
+        npt.assert_allclose(emb.gru_forward_batch(series[None, None], [p]).data[0, 0],
                             gru_oracle(series, p), atol=1e-12, rtol=0)
 
 
@@ -113,7 +114,8 @@ def test_gru_batch_rows_independent():
     x = rng.normal(size=(3, 5))
     batch = emb.gru_forward_batch(x[:, None, :], [p]).data[0]
     for b in range(3):
-        npt.assert_allclose(batch[b], emb.gru_forward(x[b], p).data,
+        npt.assert_allclose(batch[b],
+                            emb.gru_forward_batch(x[b][None, None], [p]).data[0, 0],
                             atol=1e-13, rtol=0)
 
 
@@ -246,7 +248,7 @@ def test_gru_saturated_update_gate_freezes_state():
     store = channel_store(d=3, seed=6)
     store.value("channel0.gru.b_z")[...] = -50.0  # z ~ 0 everywhere
     p = emb.channel_leaves(store.leaves(), 0)
-    hidden = emb.gru_forward([1.0, 2.0, 3.0], p).data
+    hidden = emb.gru_forward_batch(np.array([[[1.0, 2.0, 3.0]]]), [p]).data[0, 0]
     npt.assert_allclose(hidden[1], hidden[0], atol=1e-20)
     npt.assert_allclose(hidden[2], hidden[0], atol=1e-20)
 
@@ -328,13 +330,22 @@ def attention_oracle(hidden, timestamps, p, time_aware=True):
     return alpha @ hidden, alpha
 
 
+def attend(hidden, timestamps, p, time_aware=True):
+    """One case's (T, d) states and (T,) timestamps through the batched
+    attention: ((d,) summary, (T,) weights) as arrays."""
+    ts = np.asarray(timestamps, dtype=np.float64)
+    f, alpha = emb.time_aware_attention_batch(ad.Var(np.asarray(hidden)[None, None]),
+                                              (ts[-1] - ts)[None], [p], time_aware)
+    return f.data[0, 0], alpha.data[0, 0]
+
+
 def test_attention_single_visit_is_identity():
     store = channel_store(d=5, seed=9)
     p = emb.channel_leaves(store.leaves(), 0)
     hidden = np.random.default_rng(10).normal(size=(1, 5))
-    f, alpha = emb.time_aware_attention(hidden, [0.0], p)
-    npt.assert_array_equal(alpha.data, [1.0])
-    npt.assert_allclose(f.data, hidden[0], atol=1e-15)
+    f, alpha = attend(hidden, [0.0], p)
+    npt.assert_array_equal(alpha, [1.0])
+    npt.assert_allclose(f, hidden[0], atol=1e-15)
 
 
 def test_attention_matches_loop_oracle():
@@ -346,10 +357,10 @@ def test_attention_matches_loop_oracle():
         t_len = int(rng.integers(1, 9))
         hidden = rng.normal(size=(t_len, 6))
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 30, t_len - 1))])
-        f, alpha = emb.time_aware_attention(hidden, ts, p)
+        f, alpha = attend(hidden, ts, p)
         f_ref, alpha_ref = attention_oracle(hidden, ts, p)
-        npt.assert_allclose(alpha.data, alpha_ref, atol=1e-12, rtol=0)
-        npt.assert_allclose(f.data, f_ref, atol=1e-12, rtol=0)
+        npt.assert_allclose(alpha, alpha_ref, atol=1e-12, rtol=0)
+        npt.assert_allclose(f, f_ref, atol=1e-12, rtol=0)
 
 
 def test_attention_weights_form_distribution():
@@ -359,9 +370,9 @@ def test_attention_weights_form_distribution():
     hidden = rng.normal(size=(7, 4))
     ts = np.cumsum(rng.uniform(0.1, 20, 7)) - 0.1
     ts[0] = 0.0
-    _, alpha = emb.time_aware_attention(hidden, ts, p)
-    assert (alpha.data >= 0).all()
-    assert abs(alpha.data.sum() - 1.0) < 1e-12
+    _, alpha = attend(hidden, ts, p)
+    assert (alpha >= 0).all()
+    assert abs(alpha.sum() - 1.0) < 1e-12
 
 
 def test_zero_projections_give_uniform_attention():
@@ -369,8 +380,8 @@ def test_zero_projections_give_uniform_attention():
     store.value("channel0.attn.W_q")[...] = 0.0
     p = emb.channel_leaves(store.leaves(), 0)
     hidden = np.random.default_rng(16).normal(size=(5, 4))
-    _, alpha = emb.time_aware_attention(hidden, [0.0, 1.0, 2.0, 3.0, 4.0], p)
-    npt.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-15)
+    _, alpha = attend(hidden, [0.0, 1.0, 2.0, 3.0, 4.0], p)
+    npt.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
 
 
 def test_time_aware_false_ignores_timestamps():
@@ -379,12 +390,12 @@ def test_time_aware_false_ignores_timestamps():
     hidden = np.random.default_rng(18).normal(size=(6, 5))
     near = np.arange(6.0)
     far = np.arange(6.0) * 50.0
-    f1, a1 = emb.time_aware_attention(hidden, near, p, time_aware=False)
-    f2, a2 = emb.time_aware_attention(hidden, far, p, time_aware=False)
-    npt.assert_array_equal(a1.data, a2.data)
-    npt.assert_array_equal(f1.data, f2.data)
-    _, a3 = emb.time_aware_attention(hidden, far, p, time_aware=True)
-    assert not np.array_equal(a1.data, a3.data)
+    f1, a1 = attend(hidden, near, p, time_aware=False)
+    f2, a2 = attend(hidden, far, p, time_aware=False)
+    npt.assert_array_equal(a1, a2)
+    npt.assert_array_equal(f1, f2)
+    _, a3 = attend(hidden, far, p, time_aware=True)
+    assert not np.array_equal(a1, a3)
 
 
 # -- baseline embedding ---------------------------------------------------------
@@ -394,12 +405,13 @@ def test_baseline_embed_is_linear_matvec():
     store = channel_store(d=4, with_baseline=3, seed=19)
     w = store.leaf("baseline.W_emb")
     base = np.array([1.5, 0.0, 1.0])
-    out = emb.embed_baseline(base, w)
-    npt.assert_allclose(out.data, store.value("baseline.W_emb") @ base,
+    out = emb.embed_baseline_batch(base[None], w).data[0]
+    npt.assert_allclose(out, store.value("baseline.W_emb") @ base,
                         atol=1e-15)
-    npt.assert_array_equal(emb.embed_baseline(np.zeros(3), w).data, np.zeros(4))
-    twice = emb.embed_baseline(2.0 * base, w).data
-    npt.assert_allclose(twice, 2.0 * out.data, atol=1e-15)
+    npt.assert_array_equal(emb.embed_baseline_batch(np.zeros((1, 3)), w).data[0],
+                           np.zeros(4))
+    twice = emb.embed_baseline_batch(2.0 * base[None], w).data[0]
+    npt.assert_allclose(twice, 2.0 * out, atol=1e-15)
 
 
 # -- composition ----------------------------------------------------------------
@@ -412,28 +424,41 @@ def make_case(n_feat, t_len, n_base, seed):
                        rng.normal(size=(n_feat, t_len)), 1)
 
 
+def build_feature_matrix(case, lv, n_features, time_aware=True):
+    """One case's (N+1, d) rows, as ``forward_batch`` stacks them before the
+    encoder (N attention summaries, then the baseline embedding), and its N
+    attention weight rows."""
+    channels = [emb.channel_leaves(lv, n) for n in range(n_features)]
+    hidden = emb.gru_forward_batch(case.records[None], channels)
+    delta = (case.timestamps[-1] - case.timestamps)[None, :]
+    f, alpha = emb.time_aware_attention_batch(hidden, delta, channels, time_aware)
+    base = emb.embed_baseline_batch(case.baseline[None], lv["baseline.W_emb"])
+    rows = ad.concat([ad.reshape(f, (n_features, f.shape[2])), base], axis=0)
+    return rows, list(alpha.data[:, 0])
+
+
 def test_feature_matrix_rows_match_components():
     store = channel_store(d=5, n_channels=3, with_baseline=2, seed=20)
     lv = store.leaves()
     case = make_case(3, 4, 2, seed=21)
-    f_mat, alphas = emb.build_feature_matrix(case, lv, 3)
+    f_mat, alphas = build_feature_matrix(case, lv, 3)
     assert f_mat.shape == (4, 5)
     assert len(alphas) == 3
     for n in range(3):
         p = emb.channel_leaves(lv, n)
-        hidden = emb.gru_forward(case.records[n], p)
-        f, alpha = emb.time_aware_attention(hidden.data, case.timestamps, p)
-        npt.assert_allclose(f_mat.data[n], f.data, atol=1e-12, rtol=0)
-        npt.assert_allclose(alphas[n], alpha.data, atol=1e-12, rtol=0)
-    base = emb.embed_baseline(case.baseline, lv["baseline.W_emb"])
-    npt.assert_allclose(f_mat.data[3], base.data, atol=1e-15)
+        hidden = emb.gru_forward_batch(case.records[n][None, None], [p]).data[0, 0]
+        f, alpha = attend(hidden, case.timestamps, p)
+        npt.assert_allclose(f_mat.data[n], f, atol=1e-12, rtol=0)
+        npt.assert_allclose(alphas[n], alpha, atol=1e-12, rtol=0)
+    base = emb.embed_baseline_batch(case.baseline[None], lv["baseline.W_emb"])
+    npt.assert_allclose(f_mat.data[3], base.data[0], atol=1e-15)
 
 
 def test_channels_have_independent_gradients():
     store = channel_store(d=4, n_channels=3, with_baseline=2, seed=22)
     lv = store.leaves()
     case = make_case(3, 5, 2, seed=23)
-    f_mat, _ = emb.build_feature_matrix(case, lv, 3)
+    f_mat, _ = build_feature_matrix(case, lv, 3)
     store.zero_grad()
     ad.vsum(f_mat[1]).backward()  # depends on channel 1 and nothing else
     for name in store.names():
@@ -451,7 +476,7 @@ def test_embedding_gradients_match_finite_differences():
     w = rng.normal(size=(3, 4))
 
     def loss(s):
-        f_mat, _ = emb.build_feature_matrix(case, s.leaves(), 2)
+        f_mat, _ = build_feature_matrix(case, s.leaves(), 2)
         return ad.vsum(f_mat * w)
 
     errs = grad_check(loss, store, h=3e-5)

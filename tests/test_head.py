@@ -37,23 +37,23 @@ def test_final_attention_matches_loop_oracle():
     wk = store.value("head.W_k")
     for _ in range(20):
         fstar = rng.normal(size=(4, 5))
-        summary, alpha = head.final_attention(ad.Var(fstar), lv)
+        summary, alpha = head.final_attention(ad.Var(fstar[None]), lv)
         s_ref, a_ref = final_oracle(fstar, store.value("head.W_q_base"),
                                     [wk] * 4)
-        npt.assert_allclose(alpha.data, a_ref, atol=1e-12, rtol=0)
-        npt.assert_allclose(summary.data, s_ref, atol=1e-12, rtol=0)
+        npt.assert_allclose(alpha.data[0], a_ref, atol=1e-12, rtol=0)
+        npt.assert_allclose(summary.data[0], s_ref, atol=1e-12, rtol=0)
 
 
 def test_per_position_keys_match_loop_oracle():
     store = head_store(d=4, n_features=2, per_position_keys=True, seed=3)
     lv = store.leaves()
     fstar = np.random.default_rng(4).normal(size=(3, 4))
-    summary, alpha = head.final_attention(ad.Var(fstar), lv,
+    summary, alpha = head.final_attention(ad.Var(fstar[None]), lv,
                                           per_position_keys=True)
     mats = [store.value(f"head.W_k_{i}") for i in range(3)]
     s_ref, a_ref = final_oracle(fstar, store.value("head.W_q_base"), mats)
-    npt.assert_allclose(alpha.data, a_ref, atol=1e-12, rtol=0)
-    npt.assert_allclose(summary.data, s_ref, atol=1e-12, rtol=0)
+    npt.assert_allclose(alpha.data[0], a_ref, atol=1e-12, rtol=0)
+    npt.assert_allclose(summary.data[0], s_ref, atol=1e-12, rtol=0)
 
 
 def test_per_position_keys_equal_shared_when_tied():
@@ -63,8 +63,8 @@ def test_per_position_keys_equal_shared_when_tied():
         tied.value(f"head.W_k_{i}")[...] = shared.value("head.W_k")
     tied.value("head.W_q_base")[...] = shared.value("head.W_q_base")
     fstar = np.random.default_rng(6).normal(size=(3, 4))
-    s1, a1 = head.final_attention(ad.Var(fstar), shared.leaves())
-    s2, a2 = head.final_attention(ad.Var(fstar), tied.leaves(),
+    s1, a1 = head.final_attention(ad.Var(fstar[None]), shared.leaves())
+    s2, a2 = head.final_attention(ad.Var(fstar[None]), tied.leaves(),
                                   per_position_keys=True)
     npt.assert_allclose(a1.data, a2.data, atol=1e-15)
     npt.assert_allclose(s1.data, s2.data, atol=1e-15)
@@ -74,9 +74,9 @@ def test_zero_projections_average_rows():
     store = head_store(d=4, n_features=2, seed=7)
     store.value("head.W_q_base")[...] = 0.0
     fstar = np.random.default_rng(8).normal(size=(3, 4))
-    summary, alpha = head.final_attention(ad.Var(fstar), store.leaves())
-    npt.assert_allclose(alpha.data, np.full(3, 1 / 3), atol=1e-15)
-    npt.assert_allclose(summary.data, fstar.mean(axis=0), atol=1e-14)
+    summary, alpha = head.final_attention(ad.Var(fstar[None]), store.leaves())
+    npt.assert_allclose(alpha.data[0], np.full(3, 1 / 3), atol=1e-15)
+    npt.assert_allclose(summary.data[0], fstar.mean(axis=0), atol=1e-14)
 
 
 def test_batched_final_attention_matches_per_case():
@@ -85,10 +85,10 @@ def test_batched_final_attention_matches_per_case():
     batch = np.random.default_rng(10).normal(size=(4, 4, 5))
     summary, alpha = head.final_attention(ad.Var(batch), lv)
     assert summary.shape == (4, 5) and alpha.shape == (4, 4)
-    for b in range(4):
-        s1, a1 = head.final_attention(ad.Var(batch[b]), lv)
-        npt.assert_allclose(summary.data[b], s1.data, atol=1e-13)
-        npt.assert_allclose(alpha.data[b], a1.data, atol=1e-13)
+    for b in range(4):      # each row against a batch of one
+        s1, a1 = head.final_attention(ad.Var(batch[b:b + 1]), lv)
+        npt.assert_allclose(summary.data[b], s1.data[0], atol=1e-13)
+        npt.assert_allclose(alpha.data[b], a1.data[0], atol=1e-13)
 
 
 def test_scores_are_tanh_bounded():
@@ -97,7 +97,7 @@ def test_scores_are_tanh_bounded():
     # huge rows would explode an unbounded dot-product score; tanh keeps the
     # softmax inputs in [-1, 1] so no weight can collapse to exactly 0/1
     fstar = np.random.default_rng(12).normal(size=(3, 4)) * 1e4
-    _, alpha = head.final_attention(ad.Var(fstar), lv)
+    _, alpha = head.final_attention(ad.Var(fstar[None]), lv)
     assert np.isfinite(alpha.data).all()
     assert alpha.data.min() > math.exp(-2) / (3 * math.exp(2))
 
@@ -106,20 +106,20 @@ def test_predict_formula_and_clamp():
     store = head_store(d=3, n_features=1, seed=13)
     lv = store.leaves()
     s = np.array([0.4, -1.0, 2.2])
-    got = float(head.predict(ad.Var(s), lv).data)
+    got = float(head.predict(ad.Var(s[None]), lv).data[0])
     z = store.value("head.W_out")[0] @ s + store.value("head.b_out")[0]
     assert abs(got - 1.0 / (1.0 + math.exp(-z))) < 1e-12
     store.value("head.b_out")[...] = 80.0
-    assert float(head.predict(ad.Var(s), lv).data) == 1.0 - 1e-7
+    assert float(head.predict(ad.Var(s[None]), lv).data[0]) == 1.0 - 1e-7
     store.value("head.b_out")[...] = -80.0
-    assert float(head.predict(ad.Var(s), lv).data) == 1e-7
+    assert float(head.predict(ad.Var(s[None]), lv).data[0]) == 1e-7
 
 
 def test_predict_zero_weights_give_half():
     store = head_store(d=3, n_features=1, seed=14)
     store.value("head.W_out")[...] = 0.0
-    prob = head.predict(ad.Var(np.array([1.0, 2.0, 3.0])), store.leaves())
-    assert float(prob.data) == 0.5
+    prob = head.predict(ad.Var(np.array([[1.0, 2.0, 3.0]])), store.leaves())
+    assert prob.shape == (1,) and float(prob.data[0]) == 0.5
 
 
 def test_cross_entropy_hand_value():

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from carelens.model import ModelConfig
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 from carelens.train import (TrainConfig, cross_validate, fit, split_train_val)
 
@@ -30,6 +31,17 @@ def toy_dataset(n=48, seed=0, **kw):
 def split_ids(ds, n_val):
     ids = ds.ids()
     return ids[n_val:], ids[:n_val]
+
+
+def test_model_config_carries_every_field_the_configs_share():
+    ds = toy_dataset(n=8)
+    shared = dict(d=8, heads=2, d_ff=12, per_position_keys=True,
+                  time_aware=False, pool_positions=True)
+    got = TrainConfig(lr=0.5, patience=3, **shared).model_config(ds)
+    assert got == ModelConfig(n_features=ds.n_features,
+                              n_baseline=ds.n_baseline, **shared)
+    assert TrainConfig().model_config(ds) == ModelConfig(ds.n_features,
+                                                         ds.n_baseline)
 
 
 def test_fit_is_bitwise_deterministic():

@@ -267,6 +267,12 @@ def test_timestamps_unchanged_by_normalization():
         npt.assert_array_equal(a.timestamps, b.timestamps)
 
 
+def test_normalizing_no_cases_gives_no_cases():
+    ds = make_dataset(n=6, seed=7)
+    empty = Dataset(ds.feature_names, ds.baseline_names, [])
+    assert apply_normalization(empty, fit_normalization(ds, ds.ids())).cases == []
+
+
 # -- folds --------------------------------------------------------------------
 
 

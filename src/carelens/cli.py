@@ -36,11 +36,15 @@ class _Parser(argparse.ArgumentParser):
 GENERATE_OPTS = {"cases": 200, "features": 4, "baseline": 3, "profile": None,
                  "interaction": [], "noise": 0.0, "prevalence": 0.5, "seed": 0,
                  "w_fast": 1.0, "w_slow": 1.0, "w_int": 1.0}
+# each option takes its default's type; a profile is a comma list of tags
+GENERATE_TYPES = dict({k: type(v) for k, v in GENERATE_OPTS.items()},
+                      profile=str | None)
 
 TRAIN_OPTS = asdict(TrainConfig())
 TRAIN_TYPES = get_type_hints(TrainConfig)      # e.g. "d_ff": int | None
 
 EVAL_OPTS = {"bootstrap": 100, "seed": 0}
+EVAL_TYPES = {k: type(v) for k, v in EVAL_OPTS.items()}
 
 CV_OPTS = dict(TRAIN_OPTS, k=10, workers=1)
 
@@ -86,28 +90,38 @@ def _typed(key: str, value, hint):
     return float(value) if hint is float else value
 
 
+def _typed_opts(opts: dict, types: dict) -> dict:
+    return {k: _typed(k, opts[k], t) for k, t in types.items()}
+
+
 def _train_config(opts: dict) -> TrainConfig:
-    return TrainConfig(**{k: _typed(k, opts[k], t) for k, t in TRAIN_TYPES.items()})
+    return TrainConfig(**_typed_opts(opts, TRAIN_TYPES))
+
+
+def _interaction(pair) -> tuple[int, int]:
+    """A ``FEATURE:FLAG`` string as a pair of indices."""
+    if type(pair) is str:
+        fi, _, bi = pair.partition(":")
+        try:
+            return int(fi), int(bi)
+        except ValueError:
+            pass
+    raise CliError(f"bad interaction '{pair}', expected FEATURE:FLAG")
 
 
 def cmd_generate(args) -> int:
     opts = _resolve(args, GENERATE_OPTS)
+    typed = _typed_opts(opts, GENERATE_TYPES)
+    interaction = [_interaction(pair) for pair in typed["interaction"]]
     out = _out_dir(args)
-    profile = (None if not opts["profile"]
-               else [p.strip() for p in str(opts["profile"]).split(",")])
-    interaction = []
-    for pair in opts["interaction"]:
-        fi, _, bi = str(pair).partition(":")
-        if not bi:
-            raise CliError(f"bad interaction '{pair}', expected FEATURE:FLAG")
-        interaction.append((int(fi), int(bi)))
+    profile = (None if not typed["profile"]
+               else [p.strip() for p in typed["profile"].split(",")])
     spec = SyntheticSpec(
-        n_features=int(opts["features"]), n_baseline=int(opts["baseline"]),
-        n_cases=int(opts["cases"]), decay_profile=profile,
-        interaction=interaction, label_noise=float(opts["noise"]),
-        seed=int(opts["seed"]), prevalence=float(opts["prevalence"]),
-        w_fast=float(opts["w_fast"]), w_slow=float(opts["w_slow"]),
-        w_int=float(opts["w_int"]))
+        n_features=typed["features"], n_baseline=typed["baseline"],
+        n_cases=typed["cases"], decay_profile=profile, interaction=interaction,
+        label_noise=typed["noise"], seed=typed["seed"],
+        prevalence=typed["prevalence"], w_fast=typed["w_fast"],
+        w_slow=typed["w_slow"], w_int=typed["w_int"])
     dataset, manifest = generate_synthetic(spec)
     save_dataset(dataset, out / "dataset.jsonl")
     save_manifest(manifest, out / "manifest.json")
@@ -151,12 +165,12 @@ def _format_counts(counts: dict) -> str:
 
 def cmd_eval(args) -> int:
     opts = _resolve(args, EVAL_OPTS)
+    typed = _typed_opts(opts, EVAL_TYPES)
     out = _out_dir(args)
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     scores, labels = model.score(dataset)
-    report = bootstrap_eval(scores, labels, int(opts["bootstrap"]),
-                            int(opts["seed"]))
+    report = bootstrap_eval(scores, labels, typed["bootstrap"], typed["seed"])
     scored = _case_counts(labels, dataset)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,

@@ -9,7 +9,9 @@ line is one case::
 
 Timestamps are hours since the first visit (so ``t`` starts at 0 and is
 strictly increasing).  ``values`` may also be an object keyed by feature
-name; names missing from the header are an error.  Labels are the JSON
+name; names missing from the header are an error.  Every ``t``, value and
+baseline entry is a JSON number (an integer loads as its float); a string,
+boolean, null or nested list rejects the case.  Labels are the JSON
 integers 0 or 1.  Cases that violate the schema invariants are skipped with
 a logged diagnostic naming the case id; a case line that is not a JSON
 object is skipped the same way, named ``line <k>`` (1-based file line).  A
@@ -51,24 +53,27 @@ class PatientCase:
 
     def validate(self, n_features: int, n_baseline: int) -> None:
         t = self.timestamps
-        if t.ndim != 1 or t.shape[0] < 1:
+        if t.size == 0:
             raise ValueError(f"case {self.id}: needs at least one visit")
+        for name, arr, shape in (("timestamps", t, t.shape[:1]),
+                                 ("records", self.records, (n_features,) + t.shape[:1]),
+                                 ("baseline", self.baseline, (n_baseline,))):
+            if arr.shape != shape:
+                raise ValueError(f"case {self.id}: {name} shape {arr.shape} != {shape}")
+            if arr.dtype.kind != "f":
+                raise ValueError(f"case {self.id}: non-numeric value in {name}")
         if t[0] != 0.0:
             raise ValueError(f"case {self.id}: timestamps must start at 0")
-        if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError(f"case {self.id}: timestamps must be strictly increasing")
-        if self.records.shape != (n_features, t.shape[0]):
-            raise ValueError(f"case {self.id}: records shape {self.records.shape} "
-                             f"!= ({n_features}, {t.shape[0]})")
-        if self.baseline.shape != (n_baseline,):
-            raise ValueError(f"case {self.id}: baseline length {self.baseline.shape[0]} "
-                             f"!= {n_baseline}")
         if self.label not in (0, 1):
             raise ValueError(f"case {self.id}: label must be 0 or 1")
-        for name, arr in (("baseline", self.baseline), ("timestamps", t),
-                          ("records", self.records)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"case {self.id}: non-finite value in {name}")
+        if not np.isfinite(self.baseline).all():
+            raise ValueError(f"case {self.id}: non-finite value in baseline")
+        if t[-1] == np.inf:     # timestamps rising from 0 can end only in +inf
+            raise ValueError(f"case {self.id}: non-finite value in timestamps")
+        if not np.isfinite(self.records).all():
+            raise ValueError(f"case {self.id}: non-finite value in records")
 
 
 @dataclass
@@ -133,23 +138,42 @@ class Dataset:
         return [by_id[i] for i in ids]
 
 
-def _parse_values(raw, feature_names: list[str], case_id: str) -> list[float]:
-    if isinstance(raw, dict):
-        unknown = set(raw) - set(feature_names)
-        if unknown:
-            # a name outside the header means the file disagrees with its
-            # own schema, so give up on the whole file
-            raise DatasetFormatError(f"case {case_id}: unknown feature name "
-                                     f"'{sorted(unknown)[0]}'")
-        missing = set(feature_names) - set(raw)
-        if missing:
-            raise ValueError(f"case {case_id}: missing feature "
-                             f"'{sorted(missing)[0]}'")
-        return [float(raw[n]) for n in feature_names]
-    if len(raw) != len(feature_names):
-        raise ValueError(f"case {case_id}: expected {len(feature_names)} values, "
-                         f"got {len(raw)}")
-    return [float(v) for v in raw]
+def _numbers(raw, may_hold_bool: bool) -> np.ndarray:
+    """A decoded JSON field as one numpy array: float64 when it holds JSON
+    numbers only.  A string, null or nested list leaves another dtype or
+    shape, which ``PatientCase.validate`` rejects.  numpy reads ``true`` as 1,
+    so where the line may hold a bool the elements are looked at one by one."""
+    try:
+        arr = np.array(raw)
+    except ValueError:                       # ragged nesting
+        return np.array(raw, dtype=object)
+    if may_hold_bool:
+        cells = np.array(raw, dtype=object)
+        if any(type(x) is bool for x in cells.flat):
+            return cells
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.float64)
+    if arr.dtype == object and all(type(x) in (int, float) for x in arr.flat):
+        try:                                 # an int beyond 64 bits
+            return arr.astype(np.float64)
+        except OverflowError:
+            pass
+    return arr
+
+
+def _named_values(raw: dict, feature_names: list[str], case_id: str) -> list:
+    """Values keyed by feature name, in header order."""
+    unknown = set(raw) - set(feature_names)
+    if unknown:
+        # a name outside the header means the file disagrees with its
+        # own schema, so give up on the whole file
+        raise DatasetFormatError(f"case {case_id}: unknown feature name "
+                                 f"'{sorted(unknown)[0]}'")
+    missing = set(feature_names) - set(raw)
+    if missing:
+        raise ValueError(f"case {case_id}: missing feature "
+                         f"'{sorted(missing)[0]}'")
+    return [raw[n] for n in feature_names]
 
 
 def _parse_label(raw, case_id: str) -> int:
@@ -163,54 +187,63 @@ def _parse_label(raw, case_id: str) -> int:
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; invalid cases, and case lines that are not a
     JSON object, are skipped and recorded in ``rejects`` with a diagnostic
-    (keyed by case id, or by ``line <k>`` when the line has no usable id)."""
+    (keyed by case id, or by ``line <k>`` when the line has no usable id).
+
+    Each field of a case becomes one numpy array: the timestamps, the
+    (T, N) visit values and the baseline."""
     with open(path, encoding="utf-8") as fh:
-        lines = [(k, ln) for k, ln in enumerate((l.strip() for l in fh), 1) if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0][1])
-        feature_names = list(header["feature_names"])
-        baseline_names = list(header["baseline_names"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed header line") from exc
-    ds = Dataset(feature_names, baseline_names, [])
-    seen: set[str] = set()
-    for k, ln in lines[1:]:
+        lines = ((k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty dataset file")
         try:
-            obj = json.loads(ln)
-            if not isinstance(obj, dict):
-                raise ValueError(f"got {type(obj).__name__}")
-        except ValueError as exc:
-            line_id = f"line {k}"
-            log.warning("rejected %s: not a JSON object: %s", line_id, exc)
-            ds.rejects.append((line_id, f"{line_id}: not a JSON object: {exc}"))
-            continue
-        case_id = str(obj.get("id", "<missing id>"))
-        try:
-            if case_id in seen:
-                raise ValueError(f"case {case_id}: duplicate id")
-            visits = obj["visits"]
-            ts = [float(v["t"]) for v in visits]
-            vals = [_parse_values(v["values"], feature_names, case_id)
-                    for v in visits]
-            case = PatientCase(
-                id=case_id,
-                baseline=np.array([float(x) for x in obj["baseline"]],
-                                  dtype=np.float64),
-                timestamps=np.array(ts, dtype=np.float64),
-                records=np.array(vals, dtype=np.float64).T
-                        if vals else np.zeros((len(feature_names), 0)),
-                label=_parse_label(obj["label"], case_id))
-            case.validate(len(feature_names), len(baseline_names))
-        except DatasetFormatError:
-            raise
+            header = json.loads(first[1])
+            feature_names = list(header["feature_names"])
+            baseline_names = list(header["baseline_names"])
         except (ValueError, KeyError, TypeError) as exc:
-            log.warning("rejected %s: %s", case_id, exc)
-            ds.rejects.append((case_id, str(exc)))
-            continue
-        seen.add(case_id)
-        ds.cases.append(case)
+            raise ValueError(f"{path}: malformed header line") from exc
+        ds = Dataset(feature_names, baseline_names, [])
+        seen: set[str] = set()
+        for k, ln in lines:
+            try:
+                obj = json.loads(ln)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"got {type(obj).__name__}")
+            except ValueError as exc:
+                line_id = f"line {k}"
+                log.warning("rejected %s: not a JSON object: %s", line_id, exc)
+                ds.rejects.append((line_id, f"{line_id}: not a JSON object: {exc}"))
+                continue
+            case_id = str(obj.get("id", "<missing id>"))
+            # JSON spells a bool only as true or false, so a line with no
+            # "r" and no "f" holds none; one letter is found by memchr, many
+            # times faster than a word
+            may_hold_bool = "r" in ln or "f" in ln
+            try:
+                if case_id in seen:
+                    raise ValueError(f"case {case_id}: duplicate id")
+                visits = obj["visits"]
+                rows = [v["values"] for v in visits]
+                values = _numbers(rows, may_hold_bool)
+                if values.dtype == object and any(type(r) is dict for r in rows):
+                    values = _numbers([_named_values(r, feature_names, case_id)
+                                       if type(r) is dict else r for r in rows],
+                                      may_hold_bool)
+                case = PatientCase(
+                    id=case_id,
+                    baseline=_numbers(obj["baseline"], may_hold_bool),
+                    timestamps=_numbers([v["t"] for v in visits], may_hold_bool),
+                    records=values.T,
+                    label=_parse_label(obj["label"], case_id))
+                case.validate(len(feature_names), len(baseline_names))
+            except DatasetFormatError:
+                raise
+            except (ValueError, KeyError, TypeError) as exc:
+                log.warning("rejected %s: %s", case_id, exc)
+                ds.rejects.append((case_id, str(exc)))
+                continue
+            seen.add(case_id)
+            ds.cases.append(case)
     return ds
 
 
@@ -249,10 +282,15 @@ def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
     """Z-score all cases in one pass; each case keeps its timestamps array."""
     out = Dataset(list(dataset.feature_names), list(dataset.baseline_names), [])
     if dataset.cases:
+        # concatenate and stack copy, so the input's arrays stay untouched;
+        # z-scoring in place allocates no temporaries, which would be freed
+        # to the system and faulted in again by the next forward pass
         records = np.concatenate([c.records for c in dataset.cases], axis=1)
-        records = (records - norm.feature_mean[:, None]) / norm.feature_std[:, None]
+        records -= norm.feature_mean[:, None]
+        records /= norm.feature_std[:, None]
         base = np.stack([c.baseline for c in dataset.cases])
-        base = (base - norm.baseline_mean) / norm.baseline_std
+        base -= norm.baseline_mean
+        base /= norm.baseline_std
         splits = np.cumsum([c.n_visits for c in dataset.cases[:-1]])
         out.cases = [PatientCase(c.id, b, c.timestamps, r, c.label) for c, b, r
                      in zip(dataset.cases, base, np.split(records, splits, axis=1))]

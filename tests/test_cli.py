@@ -404,15 +404,20 @@ def test_resolved_config_bytes_are_unchanged(tmp_path, capsys):
 # -- config-file values must have their option's JSON type -----------------------
 
 
-def config_error(tmp_path, capsys, command, values, extra=()):
+def config_error(tmp_path, capsys, command, values):
     """Run ``command`` with ``values`` as its config file; the one-line JSON
-    error of a usage failure."""
-    data = gen_dir(tmp_path, capsys, cases=20)
+    error of a usage failure.  ``eval`` is given no model file, so its
+    check must come before any file is read."""
+    inputs = ()
+    if command != "generate":
+        data = gen_dir(tmp_path, capsys, cases=20)
+        inputs = ("--data", str(data / "dataset.jsonl"))
+    if command == "eval":
+        inputs += ("--model", str(tmp_path / "missing.json"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
     code, out, err = run(capsys, command, "--out", str(tmp_path / "x"),
-                         "--data", str(data / "dataset.jsonl"),
-                         "--config", str(cfg), *extra)
+                         "--config", str(cfg), *inputs)
     assert code == 2, (out, err)
     assert len(err.strip().splitlines()) == 1
     return json.loads(err)["error"]
@@ -445,6 +450,67 @@ def test_config_null_only_for_d_ff_and_cv_extras_are_checked(tmp_path, capsys):
     assert "config key 'k' must be int" in msg
     msg = config_error(tmp_path, capsys, "cv", {"workers": None})
     assert "config key 'workers' must be int" in msg
+
+
+@pytest.mark.parametrize("values,why", [
+    ({"cases": 10.7}, "config key 'cases' must be int"),
+    ({"noise": "0.1"}, "config key 'noise' must be float"),
+    ({"seed": True}, "config key 'seed' must be int"),
+    ({"w_int": None}, "config key 'w_int' must be float"),
+    ({"profile": ["fast", "slow"]}, "config key 'profile' must be str | None"),
+    ({"interaction": "0:1"}, "config key 'interaction' must be list"),
+    ({"interaction": [[0, 1]]}, "bad interaction '[0, 1]', expected FEATURE:FLAG"),
+    ({"interaction": ["0:x"]}, "bad interaction '0:x', expected FEATURE:FLAG")])
+def test_generate_config_values_are_type_checked(tmp_path, capsys, values, why):
+    assert why in config_error(tmp_path, capsys, "generate", values)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("values,why", [
+    ({"bootstrap": 10.5}, "config key 'bootstrap' must be int"),
+    ({"bootstrap": "10"}, "config key 'bootstrap' must be int"),
+    ({"seed": 1.0}, "config key 'seed' must be int")])
+def test_eval_config_values_are_type_checked(tmp_path, capsys, values, why):
+    assert why in config_error(tmp_path, capsys, "eval", values)
+
+
+# resolved_config.json of generate as the unchecked casts wrote it: an int
+# given for a float option is recorded as given
+RESOLVED_GENERATE = """{
+  "baseline": 3,
+  "cases": 12,
+  "command": "generate",
+  "features": 4,
+  "interaction": [
+    "0:1"
+  ],
+  "noise": 0,
+  "out": "OUT",
+  "prevalence": 0.5,
+  "profile": "fast,fast,slow,slow",
+  "seed": 4,
+  "w_fast": 2,
+  "w_int": 1.0,
+  "w_slow": 1.0
+}
+"""
+
+
+def test_generate_config_of_the_right_types_runs_and_is_recorded_as_given(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cases": 12, "noise": 0, "w_fast": 2,
+                               "profile": "fast,fast,slow,slow",
+                               "interaction": ["0:1"]}), encoding="utf-8")
+    out = tmp_path / "gen"
+    code, _, err = run(capsys, "generate", "--out", str(out), "--config",
+                       str(cfg), "--seed", "4")
+    assert code == 0, err
+    assert len(load_dataset(out / "dataset.jsonl")) == 12
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spec"]["interaction"] == [[0, 1]]
+    got = (out / "resolved_config.json").read_text(encoding="utf-8")
+    assert got == RESOLVED_GENERATE.replace("OUT", str(out))
 
 
 def test_config_values_of_the_right_type_become_the_train_config():

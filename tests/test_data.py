@@ -14,6 +14,7 @@ from carelens.data import (STD_FLOOR, Dataset, DatasetFormatError, PatientCase,
                            apply_normalization, fit_normalization,
                            load_dataset, make_batches, normalize,
                            save_dataset, split_folds)
+from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None,
                     derandomize=True)
@@ -197,6 +198,98 @@ def test_label_must_be_the_integer_zero_or_one(tmp_path, label):
     assert ds.ids() == ["ok"] and ds.cases[0].label == 1
     assert [rid for rid, _ in ds.rejects] == ["odd"]
     assert "case odd" in ds.rejects[0][1] and "label" in ds.rejects[0][1]
+
+
+def per_value_parse(line, feature_names):
+    """The reference parse: ``float()`` on every value, one list per visit."""
+    obj = json.loads(line)
+    rows = [[float(v["values"][n]) for n in feature_names]
+            if isinstance(v["values"], dict) else [float(x) for x in v["values"]]
+            for v in obj["visits"]]
+    return {"timestamps": np.array([float(v["t"]) for v in obj["visits"]]),
+            "records": np.array(rows, dtype=np.float64).T,
+            "baseline": np.array([float(x) for x in obj["baseline"]])}
+
+
+def assert_loads_as_per_value_parse(path):
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
+    ds = load_dataset(path)
+    assert ds.rejects == [] and len(ds.cases) == len(lines) - 1
+    for case, line in zip(ds.cases, lines[1:]):
+        for name, want in per_value_parse(line, ds.feature_names).items():
+            got = getattr(case, name)
+            # tobytes, so that the sign of a zero counts
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape,
+                                                           want.strides), name
+            assert got.tobytes() == want.tobytes(), (case.id, name)
+
+
+@pytest.mark.parametrize("visits", [None, 16])
+def test_generated_cohorts_load_as_the_per_value_parse(tmp_path, visits):
+    extra = {} if visits is None else {"min_visits": visits, "max_visits": visits}
+    ds = generate_synthetic(SyntheticSpec(n_features=4, n_baseline=3, n_cases=60,
+                                          seed=11, **extra))[0]
+    save_dataset(ds, tmp_path / "d.jsonl")
+    assert_loads_as_per_value_parse(tmp_path / "d.jsonl")
+
+
+def test_hand_written_numbers_load_as_the_per_value_parse(tmp_path):
+    # JSON ints (also past 2**53, 2**63 and 2**64), -0 and -0.0, the smallest
+    # subnormal, a value near the largest float, and an id holding "r" and "f"
+    lines = [json.dumps(HEADER),
+             '{"id": "ints", "baseline": [50, -0], "label": 1, "visits": ['
+             '{"t": 0, "values": [1, -2]}, {"t": 3, "values": [9007199254740993, 0]}]}',
+             '{"id": "zeros", "baseline": [-0.0, 0.0], "label": 0, "visits": ['
+             '{"t": 0.0, "values": [-0.0, 5e-324]}, {"t": 1e-300, "values": '
+             '[1.7e308, -1.7e308]}]}',
+             '{"id": "wide", "baseline": [9223372036854775808, 18446744073709551616],'
+             ' "label": 0, "visits": [{"t": 0, "values": [9223372036854775808, -1]},'
+             ' {"t": 18446744073709551617, "values": [2.5, 36893488147419103232]}]}',
+             '{"id": "ref_frf", "baseline": [1.5, 1], "label": 1, "visits": ['
+             '{"t": 0.0, "values": {"bp": -0.0, "hr": 7}},'
+             ' {"t": 2.5, "values": [3, 4.25]}]}']
+    (tmp_path / "d.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_loads_as_per_value_parse(tmp_path / "d.jsonl")
+
+
+BAD_NUMBERS = ["1", True, False, None, [1.0]]
+FIELD_NAMES = {"t": "timestamps", "values": "records", "named": "records",
+               "baseline": "baseline"}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("field", sorted(FIELD_NAMES))
+def test_a_value_that_is_not_a_json_number_rejects_its_case(tmp_path, field, bad):
+    odd = case_line("odd", [0.0, 2.0], [[1.0, 2.0], [3.0, 4.0]],
+                    named=field == "named")
+    if field == "t":
+        odd["visits"][1]["t"] = bad
+    elif field == "baseline":
+        odd["baseline"][1] = bad
+    else:
+        odd["visits"][1]["values"]["bp" if field == "named" else 1] = bad
+    write_file(tmp_path / "d.jsonl",
+               [HEADER, odd, case_line("ok", [0.0], [[1], [2]])])
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == ["ok"]
+    assert [rid for rid, _ in ds.rejects] == ["odd"]
+    msg = ds.rejects[0][1]
+    assert "case odd" in msg and FIELD_NAMES[field] in msg, msg
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+def test_a_field_of_one_bad_value_rejects_its_case(tmp_path, bad):
+    # the whole field is the bad value: every timestamp, or every visit's values
+    lines = [HEADER]
+    for name in ("t", "values"):
+        odd = case_line(f"odd_{name}", [0.0], [[1.0], [2.0]])
+        odd["visits"][0][name] = bad if name == "t" else [bad, bad]
+        lines.append(odd)
+    write_file(tmp_path / "d.jsonl", lines)
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == []
+    for (rid, msg), name in zip(ds.rejects, ("timestamps", "records")):
+        assert f"case {rid}" in msg and name in msg, msg
 
 # -- normalization ------------------------------------------------------------
 
@@ -436,3 +529,19 @@ def test_property_normalization_ignores_case_order(ds, rnd):
     for c in apply_normalization(shuffled, norm).cases:
         for field in ("baseline", "timestamps", "records"):
             assert getattr(c, field).tobytes() == getattr(by_id[c.id], field).tobytes()
+
+
+@PROPERTY
+@given(cohorts(values=SMALL_FLOAT, n_flags=1))
+def test_property_normalization_is_the_formula_and_keeps_its_input(ds):
+    before = [(c.baseline.tobytes(), c.timestamps.tobytes(), c.records.tobytes())
+              for c in ds.cases]
+    norm = fit_normalization(ds, ds.ids()[:1])
+    out = apply_normalization(ds, norm)
+    for c_raw, c in zip(ds.cases, out.cases):
+        want = (c_raw.records - norm.feature_mean[:, None]) / norm.feature_std[:, None]
+        assert c.records.tobytes() == want.tobytes()
+        want = (c_raw.baseline - norm.baseline_mean) / norm.baseline_std
+        assert c.baseline.tobytes() == want.tobytes()
+    assert [(c.baseline.tobytes(), c.timestamps.tobytes(), c.records.tobytes())
+            for c in ds.cases] == before

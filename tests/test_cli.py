@@ -474,8 +474,8 @@ def test_eval_config_values_are_type_checked(tmp_path, capsys, values, why):
     assert why in config_error(tmp_path, capsys, "eval", values)
 
 
-# resolved_config.json of generate as the unchecked casts wrote it: an int
-# given for a float option is recorded as given
+# resolved_config.json of generate: an int given for a float option is
+# recorded as given
 RESOLVED_GENERATE = """{
   "baseline": 3,
   "cases": 12,

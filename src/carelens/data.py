@@ -176,6 +176,23 @@ def _named_values(raw: dict, feature_names: list[str], case_id: str) -> list:
     return [raw[n] for n in feature_names]
 
 
+def _field(obj: dict, key: str, case_id: str):
+    if key not in obj:
+        raise ValueError(f"case {case_id}: missing field '{key}'")
+    return obj[key]
+
+
+def _bad_visit(visits: list, case_id: str) -> str:
+    """The reject message for the first visit that is not an object with a
+    ``t`` and a ``values`` field; the caller has met one."""
+    for k, v in enumerate(visits):
+        if type(v) is not dict:
+            return f"case {case_id}: visit {k} must be an object, got {type(v).__name__}"
+        for key in ("t", "values"):
+            if key not in v:
+                return f"case {case_id}: visit {k} has no field '{key}'"
+
+
 def _parse_label(raw, case_id: str) -> int:
     # bool is an int subclass, so JSON true would pass as 1 without this
     if isinstance(raw, bool) or not isinstance(raw, int) or raw not in (0, 1):
@@ -222,8 +239,15 @@ def load_dataset(path) -> Dataset:
             try:
                 if case_id in seen:
                     raise ValueError(f"case {case_id}: duplicate id")
-                visits = obj["visits"]
-                rows = [v["values"] for v in visits]
+                visits = _field(obj, "visits", case_id)
+                if type(visits) is not list:
+                    raise ValueError(f"case {case_id}: visits must be a list of "
+                                     f"objects, got {type(visits).__name__}")
+                try:
+                    rows = [v["values"] for v in visits]
+                    stamps = [v["t"] for v in visits]
+                except (KeyError, TypeError):
+                    raise ValueError(_bad_visit(visits, case_id)) from None
                 values = _numbers(rows, may_hold_bool)
                 if values.dtype == object and any(type(r) is dict for r in rows):
                     values = _numbers([_named_values(r, feature_names, case_id)
@@ -231,10 +255,10 @@ def load_dataset(path) -> Dataset:
                                       may_hold_bool)
                 case = PatientCase(
                     id=case_id,
-                    baseline=_numbers(obj["baseline"], may_hold_bool),
-                    timestamps=_numbers([v["t"] for v in visits], may_hold_bool),
+                    baseline=_numbers(_field(obj, "baseline", case_id), may_hold_bool),
+                    timestamps=_numbers(stamps, may_hold_bool),
                     records=values.T,
-                    label=_parse_label(obj["label"], case_id))
+                    label=_parse_label(_field(obj, "label", case_id), case_id))
                 case.validate(len(feature_names), len(baseline_names))
             except DatasetFormatError:
                 raise

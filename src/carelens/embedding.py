@@ -87,40 +87,49 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
     for bit that of the composed recurrence.
     """
     records = np.asarray(records, dtype=np.float64)
-    b_size, _, t_len = records.shape
+    b_size, n_ch, t_len = records.shape
     leaves = {(w, g): [ch[f"{w}_{g}"] for ch in channels]
               for w in ("W", "U", "b") for g in GATES}
     w_in = np.stack([[v.data[:, 0] for v in leaves["W", g]] for g in GATES])  # (3, N, d)
+    bias = np.stack([[v.data for v in leaves["b", g]] for g in GATES])         # (3, N, d)
     u = np.stack([[v.data for v in leaves["U", g]] for g in GATES])         # (3, N, d, d)
-    bias = np.stack([[v.data for v in leaves["b", g]] for g in GATES])[:, :, None, :]
     u_t = np.swapaxes(u, -1, -2)        # the transposed views a composed h @ U^T uses
     d = u.shape[-1]
     x = records.transpose(2, 1, 0)                                  # (T, N, B)
-    # a width-one matmul is one exact product, so x_t @ W^T is this
-    xw = x[:, None, :, :, None] * w_in[None, :, :, None, :]         # (T, 3, N, B, d)
     # pads[t]: the rows that are padding at step t, or None
     pads = [None] * t_len if keep is None else [
         None if col.all() else ~col for col in np.asarray(keep, dtype=bool).T]
-    hs = np.zeros((t_len + 1, len(channels), b_size, d))            # hs[t] = h_{t-1}
+    hs = np.zeros((t_len + 1, n_ch, b_size, d))                     # hs[t] = h_{t-1}
     # z, r, cand of every step for BPTT; with no tape, one step's worth
-    acts = np.empty((t_len if ad.grad_enabled() else 1, 3, len(channels), b_size, d))
-    pre = np.empty((2, len(channels), b_size, d))                   # z, r inputs
+    acts = np.empty((t_len if ad.grad_enabled() else 1, 3, n_ch, b_size, d))
+    pre = np.empty((2, n_ch, b_size, d))                            # z, r inputs
+    # the input weights and the biases broadcast once over the batch, so
+    # that each step's products and sums run as flat passes; elementwise
+    # arithmetic gives the same bits whatever its operands' strides
+    w_in, bias = (np.ascontiguousarray(np.broadcast_to(a[:, :, None, :], acts.shape[1:]))
+                  for a in (w_in, bias))
+    x_t = np.empty((n_ch, b_size, d))                               # x_t over d
+    xw = np.empty_like(w_in)                                        # x_t W^T per gate
+    tmp = np.empty_like(x_t)
     for t in range(t_len):
         h = hs[t]
         step = acts[t % len(acts)]
         z, r, cand = step
+        # a width-one matmul is one exact product, so x_t @ W^T is this
+        x_t[...] = x[t][:, :, None]
+        np.multiply(x_t, w_in, out=xw)
         # (x W^T + h U^T) + b per gate; one sigmoid call for z and r
         np.matmul(h, u_t[0], out=pre[0])
         np.matmul(h, u_t[1], out=pre[1])
-        pre += xw[t, :2]
+        pre += xw[:2]
         pre += bias[:2]
         ad._sigmoid(pre, out=step[:2])
-        np.matmul(r * h, u_t[2], out=cand)
-        cand += xw[t, 2]
+        np.matmul(np.multiply(r, h, out=tmp), u_t[2], out=cand)
+        cand += xw[2]
         cand += bias[2]
         np.tanh(cand, out=cand)
-        np.multiply(1.0 - z, h, out=hs[t + 1])
-        hs[t + 1] += z * cand
+        np.multiply(np.subtract(1.0, z, out=tmp), h, out=hs[t + 1])
+        hs[t + 1] += np.multiply(z, cand, out=tmp)
         if pads[t] is not None:
             hs[t + 1][:, pads[t]] = 0.0
 

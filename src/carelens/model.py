@@ -79,12 +79,14 @@ def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndar
     0.0 in records and deltas."""
     lengths = np.array([c.n_visits for c in cases])
     t_len = int(lengths.max())
-    records = np.zeros((len(cases), cases[0].records.shape[0], t_len))
-    stamps = np.zeros((len(cases), t_len))
-    for b, c in enumerate(cases):
-        records[b, :, t_len - lengths[b]:] = c.records
-        stamps[b, t_len - lengths[b]:] = c.timestamps
     keep = np.arange(t_len) >= (t_len - lengths)[:, None]
+    # a mask scatter fills its targets row by row, so each case's visits
+    # land in its own row, in order, after its pads
+    records = np.zeros((len(cases), cases[0].records.shape[0], t_len))
+    records.transpose(1, 0, 2)[:, keep] = np.concatenate([c.records for c in cases],
+                                                         axis=1)
+    stamps = np.zeros((len(cases), t_len))
+    stamps[keep] = np.concatenate([c.timestamps for c in cases])
     # the last step is always real, so stamps[:, -1:] is each case's last visit
     delta = np.where(keep, stamps[:, -1:] - stamps, 0.0)
     baseline = np.stack([c.baseline for c in cases])
@@ -107,10 +109,11 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     """Run the full model on stacked arrays.
 
     Returns (probabilities (B,), covariance penalty, trace-or-None).  The
-    trace holds per-feature attention weights, per-head attention matrices,
-    and final attention weights as plain arrays.  ``keep`` is the (B,T)
-    mask of a left-padded batch (see ``pad_cases``); pad steps then get
-    zero attention.
+    penalty only feeds the training loss: inside ``autodiff.no_grad()`` it
+    is not computed and its slot holds None.  The trace holds per-feature
+    attention weights, per-head attention matrices, and final attention
+    weights as plain arrays.  ``keep`` is the (B,T) mask of a left-padded
+    batch (see ``pad_cases``); pad steps then get zero attention.
     """
     channels = [channel_leaves(lv, n) for n in range(cfg.n_features)]
     hidden = gru_forward_batch(records, channels, keep)    # (N, B, T, d)
@@ -121,7 +124,7 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     features = ad.concat([ad.transpose(ta_summary, (1, 0, 2)),
                           ad.reshape(base, (b_size, 1, d))], axis=1)  # (B, N+1, d)
     fstar, attns, u = encode(features, lv, cfg.heads, cfg.ln_eps)
-    decorr = decorrelation_total(u, cfg.pool_positions)
+    decorr = decorrelation_total(u, cfg.pool_positions) if ad.grad_enabled() else None
     summary, final_alpha = final_attention(fstar, lv, cfg.per_position_keys)
     prob = predict(summary, lv)
     trace = None

@@ -291,6 +291,43 @@ def test_a_field_of_one_bad_value_rejects_its_case(tmp_path, bad):
     for (rid, msg), name in zip(ds.rejects, ("timestamps", "records")):
         assert f"case {rid}" in msg and name in msg, msg
 
+DROP = object()
+# shape: (path to the changed part of the case, its new value or DROP, what
+# the reject must say besides the case)
+BROKEN_STRUCTURE = {
+    "visit_not_object": (("visits",), [1], "visit 0 must be an object"),
+    "visit_is_a_list": (("visits", 1), [0.0, 1.0], "visit 1 must be an object"),
+    "visit_without_t": (("visits", 1, "t"), DROP, "visit 1 has no field 't'"),
+    "visit_without_values": (("visits", 0, "values"), DROP,
+                             "visit 0 has no field 'values'"),
+    "visits_is_an_object": (("visits",), {}, "visits must be a list"),
+    "visits_is_a_string": (("visits",), "0,1", "visits must be a list"),
+    "no_visits": (("visits",), DROP, "missing field 'visits'"),
+    "no_baseline": (("baseline",), DROP, "missing field 'baseline'"),
+    "no_label": (("label",), DROP, "missing field 'label'"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BROKEN_STRUCTURE))
+def test_a_case_of_the_wrong_structure_is_rejected_naming_the_field(tmp_path, shape):
+    path, value, says = BROKEN_STRUCTURE[shape]
+    odd = case_line("odd", [0.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+    parent = odd
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    write_file(tmp_path / "d.jsonl",
+               [HEADER, odd, case_line("ok", [0.0], [[1], [2]])])
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == ["ok"]
+    assert [rid for rid, _ in ds.rejects] == ["odd"]
+    msg = ds.rejects[0][1]
+    assert msg.startswith("case odd: ") and says in msg, msg
+
+
 # -- normalization ------------------------------------------------------------
 
 

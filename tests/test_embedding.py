@@ -186,7 +186,7 @@ def assert_same_outputs(got, want):
 
 
 FUSED_SHAPES = [(4, 64, 16, 16), (1, 1, 1, 4), (3, 5, 7, 8), (4, 37, 24, 16),
-                (2, 1, 9, 6)]
+                (2, 1, 9, 6), (4, 64, 16, 32), (3, 9, 5, 32), (3, 2, 7, 8)]
 
 
 @pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
@@ -202,6 +202,115 @@ def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
     monkeypatch.setattr(model, "gru_forward_batch", composed_gru_forward_batch)
     assert_same_outputs(got, full_loss_grads(*problem))
     assert any(np.abs(g).max() > 0 for n, g in got[2].items() if ".gru." in n)
+
+
+def precomputed_gru_forward_batch(records, channels, keep=None):
+    """The fused GRU as it was before each step formed its own input
+    projection: every step's x_t W^T is built up front as one
+    (T, 3, N, B, d) block and the biases broadcast over B at every add.
+    The current op must reproduce its values and gradients bit for bit."""
+    records = np.asarray(records, dtype=np.float64)
+    b_size, _, t_len = records.shape
+    leaves = {(w, g): [ch[f"{w}_{g}"] for ch in channels]
+              for w in ("W", "U", "b") for g in emb.GATES}
+    w_in = np.stack([[v.data[:, 0] for v in leaves["W", g]] for g in emb.GATES])
+    u = np.stack([[v.data for v in leaves["U", g]] for g in emb.GATES])
+    bias = np.stack([[v.data for v in leaves["b", g]] for g in emb.GATES])[:, :, None, :]
+    u_t = np.swapaxes(u, -1, -2)
+    d = u.shape[-1]
+    x = records.transpose(2, 1, 0)
+    xw = x[:, None, :, :, None] * w_in[None, :, :, None, :]
+    pads = [None] * t_len if keep is None else [
+        None if col.all() else ~col for col in np.asarray(keep, dtype=bool).T]
+    hs = np.zeros((t_len + 1, len(channels), b_size, d))
+    acts = np.empty((t_len if ad.grad_enabled() else 1, 3, len(channels), b_size, d))
+    pre = np.empty((2, len(channels), b_size, d))
+    for t in range(t_len):
+        h = hs[t]
+        step = acts[t % len(acts)]
+        z, r, cand = step
+        np.matmul(h, u_t[0], out=pre[0])
+        np.matmul(h, u_t[1], out=pre[1])
+        pre += xw[t, :2]
+        pre += bias[:2]
+        ad._sigmoid(pre, out=step[:2])
+        np.matmul(r * h, u_t[2], out=cand)
+        cand += xw[t, 2]
+        cand += bias[2]
+        np.tanh(cand, out=cand)
+        np.multiply(1.0 - z, h, out=hs[t + 1])
+        hs[t + 1] += z * cand
+        if pads[t] is not None:
+            hs[t + 1][:, pads[t]] = 0.0
+
+    def bwd(grad):
+        d_pre = np.empty_like(acts)
+        dh = grad[:, :, -1]
+        for t in range(t_len - 1, -1, -1):
+            if pads[t] is not None:
+                dh = np.where(pads[t][:, None], 0.0, dh)
+            h = hs[t]
+            z, r, cand = acts[t]
+            dp_z, dp_r, dp_h = d_pre[t]
+            np.multiply(dh * z, 1.0 - cand * cand, out=dp_h)
+            drh = dp_h @ u[2]
+            np.multiply(drh * h * r, 1.0 - r, out=dp_r)
+            np.multiply((dh * cand - dh * h) * z, 1.0 - z, out=dp_z)
+            if t:
+                dh = grad[:, :, t - 1] + dh * (1.0 - z)
+                dh += dp_z @ u[0]
+                dh += drh * r
+                dh += dp_r @ u[1]
+        h_rows = np.swapaxes(hs[:-1], -1, -2)
+        lhs = (h_rows, h_rows, np.swapaxes(acts[:, 1] * hs[:-1], -1, -2))
+        x_rows = x[:, :, None, :]
+        for i, g in enumerate(emb.GATES):
+            dp = d_pre[:, i]
+            d_w = emb._sum_from_last(x_rows @ dp)
+            d_u = emb._sum_from_last(lhs[i] @ dp)
+            d_b = emb._sum_from_last(dp.sum(axis=2))
+            for n in range(len(channels)):
+                leaves["W", g][n]._accumulate(d_w[n].T)
+                leaves["U", g][n]._accumulate(d_u[n].T)
+                leaves["b", g][n]._accumulate(d_b[n])
+
+    return ad.Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
+                  tuple(v for vs in leaves.values() for v in vs), bwd)
+
+
+@pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
+def test_stepwise_input_projection_is_bitwise_the_precomputed_one(monkeypatch, n_feat,
+                                                                  b_size, t_len, d):
+    cfg, store, records, delta, baseline, labels = full_model_problem(
+        n_feat, b_size, t_len, d)
+    rng = np.random.default_rng(n_feat + b_size + t_len + d)
+    for name, e in store.items():
+        if ".gru.b_" in name:       # nonzero, so a pad step would move h
+            e.value[...] = rng.normal(size=e.value.shape)
+    # left-pad every row but the last to a random length
+    lengths = np.append(rng.integers(1, t_len + 1, size=b_size - 1), t_len)
+    keep = np.arange(t_len) >= (t_len - lengths)[:, None]
+    records[~np.broadcast_to(keep[:, None, :], records.shape)] = 0.0
+    delta = np.where(keep, delta, 0.0)
+    keep = None if keep.all() else keep
+
+    def outputs():
+        store.zero_grad()
+        prob, decorr, trace = model.forward_batch(store.leaves(), records, delta,
+                                                  baseline, cfg, collect_trace=True,
+                                                  keep=keep)
+        (cross_entropy(prob, labels) + decorr).backward()
+        with ad.no_grad():
+            graph_free, _, _ = model.forward_batch(store.leaves(), records, delta,
+                                                   baseline, cfg, keep=keep)
+        return (prob.data, trace["ta_alphas"], graph_free.data,
+                {n: e.grad.copy() for n, e in store.items()})
+
+    got = outputs()
+    monkeypatch.setattr(model, "gru_forward_batch", precomputed_gru_forward_batch)
+    want = outputs()
+    assert_same_outputs(got[:2] + got[3:], want[:2] + want[3:])
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[2], got[0])
 
 
 ATTENTION_SHAPES = [(4, 64, 16, 16), (4, 37, 24, 16), (1, 1, 1, 4),

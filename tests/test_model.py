@@ -14,6 +14,7 @@ import carelens.model as model_mod
 from carelens import autodiff as ad
 from carelens.data import (Dataset, PatientCase, apply_normalization,
                            fit_normalization)
+from carelens.context import decorrelation_total
 from carelens.head import PROB_CLAMP, cross_entropy
 from carelens.model import (FittedModel, ModelConfig, batch_tensors,
                             forward_batch, init_params, load_model,
@@ -421,6 +422,38 @@ def test_equal_length_chunk_is_exactly_batch_tensors():
         assert np.array_equal(got, want)
 
 
+def looped_pad_cases(cases):
+    """``pad_cases`` as a per-case loop, each case copied into its row."""
+    lengths = np.array([c.n_visits for c in cases])
+    t_len = int(lengths.max())
+    records = np.zeros((len(cases), cases[0].records.shape[0], t_len))
+    stamps = np.zeros((len(cases), t_len))
+    for b, c in enumerate(cases):
+        records[b, :, t_len - lengths[b]:] = c.records
+        stamps[b, t_len - lengths[b]:] = c.timestamps
+    keep = np.arange(t_len) >= (t_len - lengths)[:, None]
+    delta = np.where(keep, stamps[:, -1:] - stamps, 0.0)
+    baseline = np.stack([c.baseline for c in cases])
+    labels = np.array([c.label for c in cases], dtype=np.float64)
+    return records, delta, baseline, labels, None if keep.all() else keep
+
+
+@pytest.mark.parametrize("lengths", [[7, 1, 12, 3, 7], [5], [1], [4, 4, 4]])
+def test_pad_cases_is_bitwise_the_per_case_loop(lengths):
+    cfg = tiny_config()
+    cases = [make_cases(1, t, cfg, seed=60 + i)[0] for i, t in enumerate(lengths)]
+    # loaded cases hold (N, T) records as transposed views
+    cases[0] = dataclasses.replace(cases[0],
+                                   records=np.ascontiguousarray(cases[0].records.T).T)
+    got, want = pad_cases(cases), looped_pad_cases(cases)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_pad_cases_fills_pads_with_zeros():
     cfg = tiny_config()
     short, = make_cases(1, 2, cfg, seed=24)
@@ -481,3 +514,29 @@ def test_no_grad_forward_records_no_graph_and_the_same_values(monkeypatch):
         for a, a_ref in zip(trace[key], trace_ref[key]):
             assert np.array_equal(a, a_ref)
     assert np.array_equal(trace["final_alpha"], trace_ref["final_alpha"])
+
+
+def test_no_inference_chunk_computes_the_covariance_penalty(monkeypatch):
+    cfg = tiny_config()
+    store = biased_store(cfg, 30)
+    cases = make_cases(3, 4, cfg, seed=31) + make_cases(2, 9, cfg, seed=32)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(ad.grad_enabled())
+        return decorrelation_total(*args, **kw)
+
+    monkeypatch.setattr(model_mod, "decorrelation_total", spy)
+    monkeypatch.setattr(model_mod, "CHUNK_CELLS", 12)
+    fitted = FittedModel(store, cfg, ["a", "b", "c"], ["x", "y"])
+    ds = Dataset(["a", "b", "c"], ["x", "y"], cases)
+    fitted.score(ds)
+    fitted.trace_cases(ds)
+    records, delta, baseline, _, keep = pad_cases(cases)
+    with ad.no_grad():
+        _, decorr, _ = forward_batch(store.leaves(), records, delta, baseline,
+                                     cfg, keep=keep)
+    assert decorr is None and calls == []
+    _, decorr, _ = forward_batch(store.leaves(), records, delta, baseline, cfg,
+                                 keep=keep)
+    assert calls == [True] and decorr.data >= 0

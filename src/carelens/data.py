@@ -93,6 +93,22 @@ class Normalization:
                 "baseline_std": self.baseline_std.tolist(),
                 "baseline_is_flag": self.baseline_is_flag.astype(int).tolist()}
 
+    def validate(self, n_features: int, n_baseline: int) -> None:
+        """Raise ValueError naming the first field that has the wrong
+        length or a non-finite entry, or a std that is not positive."""
+        for name, size in (("feature_mean", n_features), ("feature_std", n_features),
+                           ("baseline_mean", n_baseline), ("baseline_std", n_baseline),
+                           ("baseline_is_flag", n_baseline)):
+            value = getattr(self, name)
+            if value.shape != (size,):
+                raise ValueError(f"normalization '{name}' has shape "
+                                 f"{list(value.shape)}, the model needs [{size}]")
+            if not np.isfinite(value).all():
+                raise ValueError(f"normalization '{name}' has a non-finite entry")
+            if name.endswith("_std") and not (value > 0).all():
+                raise ValueError(f"normalization '{name}' has an entry that is not "
+                                 f"positive: {float(value.min())!r}")
+
     @staticmethod
     def from_json(d: dict) -> "Normalization":
         return Normalization(

@@ -7,13 +7,20 @@ batches share an identical visit count; batching is what gives the
 covariance penalty something to work with.  Scoring and tracing sort the
 cases by visit count and run them in chunks of at most ``CHUNK_CELLS``
 padded (case, visit) cells, left-padded to the chunk's longest case with a
-keep-mask, and with no tape.
+keep-mask, and with no tape.  With two chunks or more for each CPU the
+process may use, forked children run a share of the chunks each.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, asdict, field, replace
+from multiprocessing import parent_process
 
 import numpy as np
 
@@ -135,31 +142,146 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     return prob, decorr, trace
 
 
-def _forward_chunks(store: ParamStore, cfg: ModelConfig,
-                    cases: list[PatientCase], collect_trace: bool = False):
-    """Yield (positions, probabilities, trace) for chunks of ``cases``.
+def _chunk_plan(cases: list[PatientCase]) -> list[list[int]]:
+    """Positions of ``cases`` cut into inference chunks.
 
-    The cases are sorted by visit count and cut so that no chunk holds more
-    than ``CHUNK_CELLS`` padded cells (a case longer than that gets a chunk
-    of its own); each chunk runs as one padded forward pass with no tape.
+    The cases are sorted by visit count and cut greedily so that no chunk
+    holds more than ``CHUNK_CELLS`` padded cells; a case longer than that
+    gets a chunk of its own.
     """
-    lv = store.leaves()
     lengths = [c.n_visits for c in cases]
     order = sorted(range(len(cases)), key=lengths.__getitem__)
-    start = 0
+    plan, start = [], 0
     while start < len(order):
         stop = start + 1
         # sorted, so the case at ``stop`` is the longest once it joins
         while (stop < len(order)
                and (stop - start + 1) * lengths[order[stop]] <= CHUNK_CELLS):
             stop += 1
-        idx = order[start:stop]
-        records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
-        with ad.no_grad():
-            prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
-                                           collect_trace, keep=keep)
-        yield idx, prob.data, trace
+        plan.append(order[start:stop])
         start = stop
+    return plan
+
+
+def _inference_processes(n_chunks: int) -> int:
+    """How many processes share a plan of ``n_chunks``: one per CPU this
+    process may run on, as long as each gets at least two chunks.
+
+    1 (no fork) where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    where other threads are alive (a fork copies only the calling one), and
+    in a ``multiprocessing`` child, such as a ``cv --workers`` fold, whose
+    siblings already use the other CPUs.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1 or parent_process() is not None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_chunks // 2))
+
+
+def _forward_chunks(store: ParamStore, cfg: ModelConfig,
+                    cases: list[PatientCase], collect_trace: bool = False):
+    """(positions, probabilities, trace) for each chunk of ``_chunk_plan``,
+    each run as one padded forward pass with no tape.
+
+    The chunks are dealt round-robin to this process and to a forked child
+    per extra process of ``_inference_processes``.  A chunk's outputs depend
+    only on its own cases and the weights, so they have the same bits in
+    whichever process runs them.
+    """
+    lv = store.leaves()
+
+    def run(chunks):
+        out = []
+        for idx in chunks:
+            records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
+            with ad.no_grad():
+                prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
+                                               collect_trace, keep=keep)
+            out.append((idx, prob.data, trace))
+        return out
+
+    plan = _chunk_plan(cases)
+    procs = _inference_processes(len(plan))
+    if procs == 1:
+        return run(plan)
+    return _fork_join(run, [plan[k::procs] for k in range(procs)])
+
+
+def _fork_join(run, shares: list):
+    """``run(shares[0])`` here and ``run(share)`` for each later share in a
+    forked child, concatenated in share order.
+
+    The children are always reaped, also when this raises.  Every read end
+    is closed before the first ``waitpid``, so a child still writing gets
+    ``BrokenPipeError`` and exits.  A child's exception is raised here with
+    its type and message; a child killed by a signal raises RuntimeError.
+    """
+    children: list[tuple[int, int]] = []       # (pid, read end of its pipe)
+    payloads = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for _, fd in children:
+                    os.close(fd)
+                _child(write_fd, run, share)     # never returns
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        out = run(shares[0])
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for _, fd in children:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (pid, _), status, payload in zip(children, statuses, payloads):
+        if os.WIFSIGNALED(status):
+            raise RuntimeError(f"inference child {pid} was killed by "
+                               f"{signal.Signals(os.WTERMSIG(status)).name}")
+        if not payload:
+            raise RuntimeError(f"inference child {pid} exited with status "
+                               f"{os.WEXITSTATUS(status)} and sent nothing")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        out += value
+    return out
+
+
+def _child(write_fd: int, run, share) -> None:
+    """Run ``share`` in a forked child and pickle ``(True, outputs)`` or
+    ``(False, exception)`` into ``write_fd``.
+
+    It leaves by ``os._exit``, so nothing the parent left pending (buffered
+    output, ``atexit`` handlers, finalizers) runs a second time here; the
+    inherited objects are frozen out of the garbage collector for the same
+    reason.
+    """
+    status = 1
+    try:
+        gc.freeze()
+        try:
+            outcome = (True, run(share))
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def score_cases(store: ParamStore, cfg: ModelConfig,
@@ -279,8 +401,15 @@ def load_model(path) -> FittedModel:
             value = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
         except ValueError as exc:
             raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
         store.add(name, value)
-    norm = (None if doc["normalization"] is None
-            else Normalization.from_json(doc["normalization"]))
+    norm = None
+    if doc["normalization"] is not None:
+        norm = Normalization.from_json(doc["normalization"])
+        try:
+            norm.validate(cfg.n_features, cfg.n_baseline)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return FittedModel(store, cfg, list(doc["feature_names"]),
                        list(doc["baseline_names"]), norm)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carelens.model as model_mod
 from carelens import autodiff as ad
@@ -248,6 +251,48 @@ def test_load_model_rejects_weights_that_do_not_fit_the_config(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_a_non_finite_weight(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    doc["params"]["channel0.gru.W_z"]["data"][3] = float("nan")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="parameter 'channel0.gru.W_z' has a non-finite value"):
+        load_model(path)
+
+
+def _doc_with_normalization(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    ds, _ = generate_synthetic(SyntheticSpec(n_cases=6, seed=5))
+    doc["normalization"] = fit_normalization(ds, ds.ids()).to_json()
+    return path, doc
+
+
+@pytest.mark.parametrize("field, entry, message", [
+    ("feature_std", 0.0, "'feature_std' has an entry that is not positive: 0.0"),
+    ("baseline_std", -1.0, "'baseline_std' has an entry that is not positive"),
+    ("feature_mean", float("inf"), "'feature_mean' has a non-finite entry"),
+    ("baseline_mean", float("nan"), "'baseline_mean' has a non-finite entry"),
+    ("feature_std", float("inf"), "'feature_std' has a non-finite entry"),
+])
+def test_load_model_rejects_a_bad_normalization(tmp_path, field, entry, message):
+    path, doc = _doc_with_normalization(tmp_path)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).normalization is not None
+    doc["normalization"][field][1] = entry
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"normalization {message}"):
+        load_model(path)
+
+
+def test_load_model_rejects_a_normalization_of_the_wrong_length(tmp_path):
+    path, doc = _doc_with_normalization(tmp_path)
+    doc["normalization"]["baseline_is_flag"].append(0)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"'baseline_is_flag' has shape \[4\], "
+                                         r"the model needs \[3\]"):
+        load_model(path)
+
+
 def test_load_model_validates_the_config(tmp_path):
     path, doc = _saved_model_doc(tmp_path, d=16)
     doc["config"]["heads"] = 3
@@ -470,6 +515,12 @@ def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatc
     lengths = [9, 2, 30, 4, 4, 9, 1, 2, 17, 4]
     cases = [make_cases(1, t, cfg, seed=40 + i)[0] for i, t in enumerate(lengths)]
     want = [score_cases(store, cfg, [c])[0] for c in cases]
+    monkeypatch.setattr(model_mod, "CHUNK_CELLS", 20)
+    # sorted 1,2,2,4,4,4,9,9,17,30; greedy fill up to 20 cells; the 30-visit
+    # case is over budget and runs alone
+    plan = model_mod._chunk_plan(cases)
+    expected = [(5, 4), (2, 9), (1, 9), (1, 17), (1, 30)]
+    assert [(len(idx), max(lengths[i] for i in idx)) for idx in plan] == expected
     shapes = []
 
     def spy(*args, **kw):
@@ -477,14 +528,32 @@ def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatc
         assert not ad.grad_enabled()
         return forward_batch(*args, **kw)
 
+    # in one process, so that the spy sees every chunk
+    monkeypatch.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)
     monkeypatch.setattr(model_mod, "forward_batch", spy)
-    monkeypatch.setattr(model_mod, "CHUNK_CELLS", 20)
     got = score_cases(store, cfg, cases)
     npt.assert_allclose(got, want, atol=1e-12, rtol=0)
-    # sorted 1,2,2,4,4,4,9,9,17,30; greedy fill up to 20 cells; the 30-visit
-    # case is over budget and runs alone
-    assert [(b, t) for b, _, t in shapes] == [(5, 4), (2, 9), (1, 9), (1, 17), (1, 30)]
+    assert [(b, t) for b, _, t in shapes] == expected
     assert ad.grad_enabled()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), max_size=60),
+       budget=st.integers(1, 120))
+def test_chunk_plan_covers_every_case_once_in_length_order_within_budget(lengths,
+                                                                         budget):
+    cases = [SimpleNamespace(n_visits=t) for t in lengths]
+    with mock.patch.object(model_mod, "CHUNK_CELLS", budget):
+        plan = model_mod._chunk_plan(cases)
+    flat = [i for idx in plan for i in idx]
+    assert sorted(flat) == list(range(len(cases)))
+    assert all(lengths[a] <= lengths[b] for a, b in zip(flat, flat[1:]))
+    for k, idx in enumerate(plan):
+        cells = len(idx) * max(lengths[i] for i in idx)
+        assert cells <= budget or len(idx) == 1
+        # greedy: the next case would have broken the budget
+        if k + 1 < len(plan):
+            assert (len(idx) + 1) * lengths[plan[k + 1][0]] > budget
 
 
 def graph_free_outputs(store, cfg, cases):
@@ -528,6 +597,8 @@ def test_no_inference_chunk_computes_the_covariance_penalty(monkeypatch):
 
     monkeypatch.setattr(model_mod, "decorrelation_total", spy)
     monkeypatch.setattr(model_mod, "CHUNK_CELLS", 12)
+    # a penalty computed in a forked child would not reach ``calls``
+    monkeypatch.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)
     fitted = FittedModel(store, cfg, ["a", "b", "c"], ["x", "y"])
     ds = Dataset(["a", "b", "c"], ["x", "y"], cases)
     fitted.score(ds)

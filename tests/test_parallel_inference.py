@@ -181,6 +181,7 @@ def test_inference_runs_in_one_process_where_forking_is_unsafe(monkeypatch):
 def test_buffered_output_is_printed_once_when_inference_forks():
     script = textwrap.dedent("""
         import os
+        import sys
         import carelens.model as model_mod
         from carelens.model import FittedModel, ModelConfig, init_params
         from carelens.synthetic import SyntheticSpec, generate_synthetic
@@ -195,12 +196,14 @@ def test_buffered_output_is_printed_once_when_inference_forks():
                           d=8, heads=2)
         model = FittedModel(init_params(cfg, 2), cfg, ds.feature_names,
                             ds.baseline_names)
+        assert not sys.stdout.write_through and not sys.stdout.line_buffering
         print("held in the buffer")
         scores, _ = model.score(ds)
         print("forks:", len(forks), "scores:", len(scores))
     """)
     src = Path(model_mod.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout == "held in the buffer\nforks: 1 scores: 600\n"

@@ -166,6 +166,9 @@ def _format_counts(counts: dict) -> str:
 def cmd_eval(args) -> int:
     opts = _resolve(args, EVAL_OPTS)
     typed = _typed_opts(opts, EVAL_TYPES)
+    if typed["bootstrap"] < 1:
+        raise CliError("option 'bootstrap' must be at least 1, "
+                       f"got {typed['bootstrap']}")
     out = _out_dir(args)
     model = load_model(args.model)
     dataset = load_dataset(args.data)

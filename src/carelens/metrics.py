@@ -3,7 +3,8 @@
 Tie handling is deterministic and documented per metric: AUROC gives half
 credit to score ties; AUPRC and min(Se, P+) sweep distinct scores in
 descending order, so tied cases enter a threshold as one group.  All three
-come from one kernel that sorts each row once.
+come from one kernel that sorts the scores once and reads every sample,
+the whole set or a bootstrap replicate, as draw counts over that order.
 """
 
 from __future__ import annotations
@@ -26,40 +27,42 @@ def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
     return s, y.astype(np.int64, copy=False), pos
 
 
-# bootstrap_eval scores replicates in (rows, n) blocks of about this many cells
-_BLOCK_CELLS = 2 ** 15
+# bootstrap_eval counts replicates in blocks of about this many cells: a block
+# temporary (32 KB at n = 2000) stays under glibc's 128 KB mmap threshold
+_BLOCK_CELLS = 2 ** 12
 
 
-def _sweep(S: np.ndarray, Y: np.ndarray):
-    """(auroc, ap, min_se) per row of (R, n) scores ``S`` and 0/1 labels ``Y``.
+def _ranking(s: np.ndarray, y: np.ndarray, blocks) -> np.ndarray:
+    """(3, R) AUROC, AP and min(Se,P+) of the R samples drawn by ``blocks``,
+    an iterable of (rows, n) arrays of indices into ``s`` and ``y``.
 
-    One stable descending sort per row; counts are read at the ends of tied
-    groups.  Exact to the last bit of a per-group loop: the counts and the
-    Mann-Whitney U are exact in float64, so AUROC is one rounded division;
-    AP's ``cumsum`` adds in sweep order (+0.0 off the group ends is exact);
-    max and min are exact."""
-    rows, n = S.shape
-    flat = (-S).argsort(axis=1, kind="stable") + np.arange(0, rows * n, n)[:, None]
-    s = S.ravel()[flat]
-    # float counts are exact; column 0 is a group end before the first case
-    tp = np.zeros((rows, n + 1))
-    Y.ravel()[flat].cumsum(axis=1, dtype=np.float64, out=tp[:, 1:])
-    k = np.arange(n + 1.0)                     # cases flagged
-    end = np.zeros(tp.shape, dtype=bool)
-    end[:, 0] = end[:, -1] = True
-    np.not_equal(s[:, 1:], s[:, :-1], out=end[:, 1:-1])
-    # tp and k at the previous group end; both only rise, so a running max
-    prev_tp = np.maximum.accumulate(tp * end, axis=1)[:, :-1]
-    prev_k = np.maximum.accumulate(k * end, axis=1)[:, :-1]
-    tp, k, end = tp[:, 1:], k[1:], end[:, 1:]
-    dtp = tp - prev_tp
-    pos = tp[:, -1:]
-    u = ((k - prev_k - dtp) * (prev_tp + dtp / 2) * end).sum(axis=1)
-    auc = u / np.maximum(pos * (n - pos), 1)[:, 0]   # 0/0 guard: auroc rejects it
-    precision = tp / k
-    ap = (dtp / pos * precision * end).cumsum(axis=1)
-    min_se = (np.minimum(tp / pos, precision) * end).max(axis=1)
-    return auc, ap[:, -1], min_se
+    ``s`` is sorted once, descending and stable; a sample is its draw counts
+    over that order, summed over tied scores.  Exact to the last bit of a
+    per-group loop over the drawn cases: counts and the Mann-Whitney U are
+    exact in float64, so AUROC is one rounded division; AP's ``cumsum`` adds
+    in sweep order (+0.0 for an undrawn group is exact); max, min are exact."""
+    order = np.argsort(-s, kind="stable")
+    desc, y_desc = s[order], y[order]
+    starts = np.flatnonzero(np.concatenate(([True], desc[1:] != desc[:-1])))
+    out = []
+    for idx in blocks:
+        cells = (idx + np.arange(0, idx.size, s.size)[:, None]).ravel()
+        drawn = np.bincount(cells, minlength=idx.size).reshape(idx.shape)
+        hits = drawn.take(order, axis=1)     # draw counts in descending order
+        dtp = hits * y_desc
+        if starts.size < s.size:
+            hits = np.add.reduceat(hits, starts, axis=1)
+            dtp = np.add.reduceat(dtp, starts, axis=1)
+        tp = dtp.cumsum(axis=1, dtype=np.float64)
+        k = hits.cumsum(axis=1, dtype=np.float64)      # cases flagged
+        pos, n = tp[:, -1], k[:, -1]
+        u = ((hits - dtp) * (tp - dtp / 2)).sum(axis=1)
+        precision = tp / np.maximum(k, 1)      # k is 0 before the first draw
+        ap = (dtp / pos[:, None] * precision).cumsum(axis=1)[:, -1]
+        auc = u / np.maximum(pos * (n - pos), 1)   # 0/0: auroc rejects it
+        min_se = np.minimum(tp / pos[:, None], precision).max(axis=1)
+        out.append(np.stack([auc, ap, min_se]))    # a copy: ap views a block
+    return np.concatenate(out, axis=1)
 
 
 def auroc(scores, labels) -> float:
@@ -68,7 +71,7 @@ def auroc(scores, labels) -> float:
     s, y, pos = _checked(scores, labels)
     if pos == 0 or pos == y.size:
         raise ValueError("undefined AUROC: needs both classes")
-    return float(_sweep(s[None], y[None])[0][0])
+    return float(_ranking(s, y, [np.arange(y.size)[None]])[0, 0])
 
 
 def auprc(scores, labels) -> float:
@@ -77,7 +80,7 @@ def auprc(scores, labels) -> float:
     s, y, pos = _checked(scores, labels)
     if pos == 0:
         raise ValueError("undefined AUPRC: needs at least one positive")
-    return float(_sweep(s[None], y[None])[1][0])
+    return float(_ranking(s, y, [np.arange(y.size)[None]])[1, 0])
 
 
 def min_se_pplus(scores, labels) -> float:
@@ -86,7 +89,7 @@ def min_se_pplus(scores, labels) -> float:
     s, y, pos = _checked(scores, labels)
     if pos == 0:
         raise ValueError("undefined min(Se, P+): needs at least one positive")
-    return float(_sweep(s[None], y[None])[2][0])
+    return float(_ranking(s, y, [np.arange(y.size)[None]])[2, 0])
 
 
 METRICS = {"auroc": auroc, "auprc": auprc, "min_se_pplus": min_se_pplus}
@@ -155,10 +158,7 @@ def bootstrap_eval(scores, labels, reps: int, seed: int) -> EvalReport:
         raise RuntimeError("bootstrap: could not draw a two-class replicate")
 
     rows = max(1, _BLOCK_CELLS // y.size)
-    blocks = []
-    for start in range(0, reps, rows):
-        idx = np.stack([draw() for _ in range(min(rows, reps - start))])
-        blocks.append(_sweep(s[idx], y[idx]))
-    replicates = {name: np.concatenate(parts).tolist()
-                  for name, parts in zip(METRICS, zip(*blocks))}
+    blocks = (np.stack([draw() for _ in range(min(rows, reps - start))])
+              for start in range(0, reps, rows))
+    replicates = dict(zip(METRICS, _ranking(s, y, blocks).tolist()))
     return EvalReport.from_replicates(points, replicates)

@@ -549,3 +549,26 @@ def test_label_filter_takes_a_float_spelling_of_0(tmp_path, capsys):
                           "--filter", "label=0.0")
     n_neg = int((load_dataset(data / "dataset.jsonl").labels() == 0).sum())
     assert code == 0 and f"inspected {n_neg} cases" in stdout
+
+
+# -- eval rejects a bootstrap count below 1 before reading any file ---------------
+
+
+@pytest.mark.parametrize("given,count", [(("--bootstrap", "0"), 0),
+                                         (("--bootstrap", "-3"), -3),
+                                         ({"bootstrap": 0}, 0)])
+def test_eval_bootstrap_below_one_is_usage_error_before_any_file_is_read(
+        tmp_path, capsys, given, count):
+    argv = given
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given), encoding="utf-8")
+        argv = ("--config", str(cfg))
+    code, _, err = run(capsys, "eval", "--out", str(tmp_path / "x"),
+                       "--model", str(tmp_path / "missing.json"),
+                       "--data", str(tmp_path / "missing.jsonl"), *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == (
+        f"option 'bootstrap' must be at least 1, got {count}")
+    assert not (tmp_path / "x").exists()

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carelens import metrics
 from carelens.metrics import (EvalReport, MetricSummary, auprc, auroc,
                               bootstrap_eval, min_se_pplus)
 
@@ -386,6 +388,90 @@ def test_bootstrap_is_bitwise_the_loop_on_the_benchmark_seeds(seed):
     kinds = score_kinds(rng, 600)
     s = kinds[("continuous", "quantized", "special")[seed % 3]]
     assert_bootstrap_is_the_loop(s, y, 100, seed)
+
+
+CELLS = metrics._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("n,reps", [
+    (CELLS // 3, 7),        # three rows a block, the last block one row
+    (CELLS // 2, 3),        # two rows a block, the last block one row
+    (CELLS // 2 + 1, 3),    # one row a block, just
+    (CELLS - 1, 2), (CELLS, 2), (CELLS + 1, 2)])    # one row, near the cells
+def test_bootstrap_is_the_loop_at_the_block_boundaries(n, reps):
+    rng = np.random.default_rng(n)
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    kinds = score_kinds(rng, n)
+    for s in (kinds["quantized"], kinds["special"]):
+        assert_bootstrap_is_the_loop(s, y, reps, seed=n)
+
+
+@pytest.mark.parametrize("n", [2, 9, 600])
+def test_bootstrap_is_the_loop_when_every_score_ties(n):
+    rng = np.random.default_rng(50 + n)
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    s = np.full(n, 0.25)
+    assert auroc(s, y) == 0.5
+    assert auprc(s, y) == min_se_pplus(s, y) == y.sum() / n
+    assert_bootstrap_is_the_loop(s, y, 20, seed=n)
+
+
+@pytest.mark.parametrize("n", [2, 9, 600])
+def test_bootstrap_is_the_loop_when_every_score_is_distinct(n):
+    rng = np.random.default_rng(60 + n)
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    s = rng.permutation(n) - n / 2.0
+    assert np.unique(s).size == n
+    assert_bootstrap_is_the_loop(s, y, 20, seed=n)
+
+
+def test_a_replicate_that_misses_the_top_scored_group():
+    # case 0 holds the top score alone, cases 1-2 tie below it; the stream of
+    # this seed draws replicates without case 0 and one without cases 0-2
+    s = np.array([0.9, 0.7, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1])
+    y = np.array([1, 0, 1, 1, 0, 1, 0, 0])
+    seed, reps = 5, 12
+    rng = np.random.default_rng(np.random.SeedSequence([seed, reps]))
+    drawn = []
+    while len(drawn) < reps:                # bootstrap_eval's one-class redraw
+        idx = rng.integers(0, 8, 8)
+        if 0 < y[idx].sum() < 8:
+            drawn.append(set(idx.tolist()))
+    assert sum(0 not in idx for idx in drawn) == 5
+    assert sum(not {0, 1, 2} & idx for idx in drawn) == 2
+    assert_bootstrap_is_the_loop(s, y, reps, seed)
+    # the kernel itself, on draws that skip the top group and the tie
+    idx = np.array([[3, 4, 5, 6, 7, 3, 4, 5], [1, 2, 7, 7, 6, 5, 4, 3],
+                    [6, 3, 6, 3, 6, 3, 6, 3]])
+    got = metrics._ranking(s, y, [idx[:2], idx[2:]])
+    assert np.isfinite(got).all()
+    for r, row in enumerate(idx):
+        want = [fn(s[row], y[row]) for fn in LOOP_METRICS.values()]
+        assert got[:, r].tolist() == want
+
+
+def test_bootstrap_memory_does_not_grow_with_reps():
+    # a block's buffers are freed before the next block: keeping every
+    # replicate's draw counts would take reps * n * 8 bytes (6.4 MB at 400)
+    rng = np.random.default_rng(70)
+    y = rng.integers(0, 2, 2000)
+    s = rng.random(2000)
+
+    def peak(reps):
+        bootstrap_eval(s, y, reps, seed=1)
+        tracemalloc.start()
+        try:
+            bootstrap_eval(s, y, reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20), peak(400)
+    # the 380 extra replicates' results take about 40 KB
+    assert large - small < 2 ** 17, (small, large)
 
 
 # -- properties ------------------------------------------------------------------

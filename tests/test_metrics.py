@@ -430,7 +430,7 @@ def test_bootstrap_is_the_loop_when_every_score_is_distinct(n):
 
 def test_a_replicate_that_misses_the_top_scored_group():
     # case 0 holds the top score alone, cases 1-2 tie below it; the stream of
-    # this seed draws replicates without case 0 and one without cases 0-2
+    # this seed draws five replicates without case 0, two of them without 0-2
     s = np.array([0.9, 0.7, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1])
     y = np.array([1, 0, 1, 1, 0, 1, 0, 0])
     seed, reps = 5, 12

@@ -125,9 +125,6 @@ class Var:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __pow__(self, p):
-        return powc(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -185,39 +182,20 @@ def div(a, b) -> Var:
     return Var(a.data / b.data, (a, b), bwd)
 
 
-def powc(a, p: float) -> Var:
-    """a ** p for a constant exponent p."""
-    a = as_var(a)
-
-    def bwd(g):
-        a._accumulate(g * p * a.data ** (p - 1))
-
-    return Var(a.data ** p, (a,), bwd)
-
-
 def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
 def matmul(a, b) -> Var:
+    """a @ b for operands of rank 2 or more; leading axes broadcast."""
     a, b = as_var(a), as_var(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul needs operands of rank 2 or more")
 
     def bwd(g):
         A, B = a.data, b.data
-        if A.ndim == 1 and B.ndim == 1:
-            a._accumulate(g * B)
-            b._accumulate(g * A)
-        elif A.ndim == 1:
-            a._accumulate(B @ g)
-            b._accumulate(np.outer(A, g))
-        elif B.ndim == 1:
-            if A.ndim != 2:
-                raise ValueError("matmul backward: unsupported operand ranks")
-            a._accumulate(np.outer(g, B))
-            b._accumulate(A.T @ g)
-        else:
-            a._accumulate(_unbroadcast(g @ _swap(B), A.shape))
-            b._accumulate(_unbroadcast(_swap(A) @ g, B.shape))
+        a._accumulate(_unbroadcast(g @ _swap(B), A.shape))
+        b._accumulate(_unbroadcast(_swap(A) @ g, B.shape))
 
     return Var(a.data @ b.data, (a, b), bwd)
 
@@ -345,16 +323,6 @@ def tanh(a) -> Var:
     return Var(y, (a,), bwd)
 
 
-def exp(a) -> Var:
-    a = as_var(a)
-    y = np.exp(a.data)
-
-    def bwd(g):
-        a._accumulate(g * y)
-
-    return Var(y, (a,), bwd)
-
-
 def log(a) -> Var:
     a = as_var(a)
 
@@ -362,16 +330,6 @@ def log(a) -> Var:
         a._accumulate(g / a.data)
 
     return Var(np.log(a.data), (a,), bwd)
-
-
-def sqrt(a) -> Var:
-    a = as_var(a)
-    y = np.sqrt(a.data)
-
-    def bwd(g):
-        a._accumulate(g * 0.5 / y)
-
-    return Var(y, (a,), bwd)
 
 
 def relu(a) -> Var:

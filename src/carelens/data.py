@@ -143,12 +143,6 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([c.label for c in self.cases], dtype=np.int64)
 
-    def case(self, case_id: str) -> PatientCase:
-        for c in self.cases:
-            if c.id == case_id:
-                return c
-        raise KeyError(f"no case with id '{case_id}'")
-
     def subset(self, ids: Iterable[str]) -> list[PatientCase]:
         by_id = {c.id: c for c in self.cases}
         return [by_id[i] for i in ids]

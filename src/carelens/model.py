@@ -64,6 +64,12 @@ class ModelConfig:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.ffn_dim < 1:
             raise ValueError("d_ff must be positive")
+        for key in ("per_position_keys", "time_aware", "pool_positions"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"model config '{key}' must be true or false")
+        eps = self.ln_eps
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < np.inf:
+            raise ValueError(f"model config 'ln_eps' must be finite and above 0, not {eps!r}")
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -376,34 +382,34 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Rebuild a model bit-for-bit from its file (optimizer state starts fresh)."""
+    """Rebuild a model bit-for-bit from its file, in init order (fresh Adam state)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
     cfg = ModelConfig(**doc["config"])
-    cfg.validate()
+    try:
+        store = init_params(cfg, 0)     # validates the config
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     params = doc["params"]
-    expected = init_params(cfg, 0)
-    for name, e in expected.items():
+    for name, e in store.items():
         if name not in params:
             raise ValueError(f"{path}: missing parameter '{name}'")
         if list(params[name]["shape"]) != list(e.value.shape):
             raise ValueError(f"{path}: parameter '{name}' has shape "
                              f"{params[name]['shape']}, the config needs "
                              f"{list(e.value.shape)}")
-    extra = sorted(set(params) - set(expected.names()))
+    extra = sorted(set(params) - set(store.names()))
     if extra:
         raise ValueError(f"{path}: unexpected parameter '{extra[0]}'")
-    store = ParamStore()
-    for name, spec in params.items():
+    for name, e in store.items():
         try:
-            value = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            e.value[...] = np.array(params[name]["data"], dtype=np.float64).reshape(e.value.shape)
         except ValueError as exc:
             raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
-        if not np.isfinite(value).all():
+        if not np.isfinite(e.value).all():
             raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
-        store.add(name, value)
     norm = None
     if doc["normalization"] is not None:
         norm = Normalization.from_json(doc["normalization"])

@@ -24,7 +24,6 @@ class ParamEntry:
     grad: np.ndarray
     adam_m: np.ndarray
     adam_v: np.ndarray
-    step_count: int = 0
 
 
 _FIELDS = ("value", "grad", "adam_m", "adam_v")
@@ -38,7 +37,8 @@ class ParamStore:
     fields are views into those buffers, so whole-store updates are a few
     numpy calls.  ``leaf(name)`` hands out a graph node whose gradient
     buffer is shared with the store, so ``backward()`` accumulates straight
-    into it.
+    into it.  One Adam step count serves every entry, so no entry may be
+    added once ``adam_step`` has run.
     """
 
     def __init__(self) -> None:
@@ -46,10 +46,14 @@ class ParamStore:
         self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}  # offset, shape
         self._size = 0
         self._bufs = {f: np.zeros(0) for f in _FIELDS}
+        self.step_count = 0
 
     def add(self, name: str, value) -> None:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name '{name}'")
+        if self.step_count:
+            raise ValueError(f"cannot add parameter '{name}' after "
+                             f"{self.step_count} Adam steps")
         v = np.array(value, dtype=np.float64)
         start, self._size = self._size, self._size + v.size
         if self._size > self._bufs["value"].size:
@@ -83,9 +87,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def entry(self, name: str) -> ParamEntry:
-        return self._entries[name]
-
     def value(self, name: str) -> np.ndarray:
         return self._entries[name].value
 
@@ -115,9 +116,6 @@ class ParamStore:
         self.flat("value")[...] = np.concatenate(
             [np.ravel(snap[name]) for name in self._entries])
 
-    def n_scalars(self) -> int:
-        return self._size
-
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -131,17 +129,9 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     if not np.isfinite(g).all():
         name = next(n for n, e in store.items() if not np.isfinite(e.grad).all())
         raise ValueError(f"non-finite gradient for parameter '{name}'")
-    entries = [e for _, e in store.items()]
-    for e in entries:
-        e.step_count += 1
-    steps = {e.step_count for e in entries}
-    if len(steps) == 1:
-        t = steps.pop()
-        corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-    else:   # entries added after earlier steps: per-entry bias corrections
-        sizes = [e.value.size for e in entries]
-        corr1 = np.repeat([1.0 - beta1 ** e.step_count for e in entries], sizes)
-        corr2 = np.repeat([1.0 - beta2 ** e.step_count for e in entries], sizes)
+    store.step_count += 1
+    t = store.step_count
+    corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
     m, v = store.flat("adam_m"), store.flat("adam_v")
     m[...] = beta1 * m + (1.0 - beta1) * g
     v[...] = beta2 * v + (1.0 - beta2) * g * g

@@ -541,7 +541,7 @@ def test_acceptance_10_reports_are_formatted_and_bitwise_deterministic():
     order = np.random.default_rng(np.random.SeedSequence([10, 79])).permutation(len(ids))
     test_ids = [ids[i] for i in order[:20]]
     rest_ids = [ids[i] for i in order[20:]]
-    rest_labels = np.array([ds.case(i).label for i in rest_ids])
+    rest_labels = np.array([c.label for c in ds.subset(rest_ids)])
     train_ids, val_ids = split_train_val(rest_ids, rest_labels, 0.2, seed=10)
     model = fit(ds, train_ids, val_ids, cfg)
     scores, labels = model.score(ds, test_ids)

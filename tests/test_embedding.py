@@ -579,7 +579,7 @@ def test_channels_have_independent_gradients():
     store.zero_grad()
     ad.vsum(f_mat[1]).backward()  # depends on channel 1 and nothing else
     for name in store.names():
-        g = store.entry(name).grad
+        g = store.leaf(name).grad
         if name.startswith("channel1."):
             assert np.abs(g).max() > 0.0
         elif name.startswith("channel"):

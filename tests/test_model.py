@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -297,8 +298,51 @@ def test_load_model_validates_the_config(tmp_path):
     path, doc = _saved_model_doc(tmp_path, d=16)
     doc["config"]["heads"] = 3
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="not divisible"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: d=16 not divisible"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key", ["time_aware", "per_position_keys", "pool_positions"])
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_load_model_rejects_a_config_flag_that_is_not_a_bool(tmp_path, key, value):
+    # "time_aware": "no" used to load and score with time-damping on
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model config "
+                                         f"'{key}' must be true or false$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, float("nan"), float("inf"),
+                                   "1e-5", True, None])
+def test_load_model_rejects_an_ln_eps_that_is_not_finite_and_positive(tmp_path, value):
+    # "ln_eps": -1.0 used to load and make every score NaN
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"]["ln_eps"] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model config "
+                                         "'ln_eps' must be finite and above 0"):
+        load_model(path)
+    doc["config"]["ln_eps"] = 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).config.ln_eps == 1
+
+
+def test_load_model_takes_params_in_any_order_and_saves_them_in_init_order(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    original = load_model(path)
+    names = list(doc["params"])
+    assert names == original.store.names()
+    doc["params"] = {name: doc["params"][name] for name in reversed(names)}
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_model(shuffled)
+    assert loaded.store.names() == names
+    assert np.array_equal(loaded.store.flat("value"), original.store.flat("value"))
+    resaved = tmp_path / "resaved.json"
+    save_model(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 def test_score_rejects_mismatched_schema():
     ds, _ = generate_synthetic(SyntheticSpec(n_cases=6, seed=2))
@@ -349,7 +393,7 @@ def _normalized_model(n_cases, seed):
 def test_batched_traces_equal_per_case_traces_in_ids_order():
     ds, model = _normalized_model(40, seed=19)
     ids = ds.ids()[::-1][:25]
-    assert len({ds.case(i).n_visits for i in ids}) > 3
+    assert len({c.n_visits for c in ds.subset(ids)}) > 3
     traces = model.trace_cases(ds, ids)
     assert [t["id"] for t in traces] == ids
     for tr in traces:
@@ -376,7 +420,7 @@ def test_score_normalizes_only_the_selected_cases(monkeypatch):
     monkeypatch.setattr(model_mod, "apply_normalization", spy)
     got, labels = model.score(ds, ids)
     assert np.array_equal(got, want)
-    npt.assert_array_equal(labels, [ds.case(i).label for i in ids])
+    npt.assert_array_equal(labels, [c.label for c in ds.subset(ids)])
     model.trace_cases(ds, ids)
     assert seen == [len(ids), len(ids)]
 

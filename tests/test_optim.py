@@ -31,9 +31,9 @@ def test_leaf_shares_gradient_buffer():
     store = make_store(w=[[1.0, 2.0]])
     leaf = store.leaf("w")
     ad.vsum(leaf * np.array([[3.0, 4.0]])).backward()
-    npt.assert_array_equal(store.entry("w").grad, [[3.0, 4.0]])
+    npt.assert_array_equal(store.leaf("w").grad, [[3.0, 4.0]])
     store.zero_grad()
-    npt.assert_array_equal(store.entry("w").grad, [[0.0, 0.0]])
+    npt.assert_array_equal(store.leaf("w").grad, [[0.0, 0.0]])
 
 
 def test_adam_zero_gradient_leaves_values_unchanged():
@@ -51,7 +51,7 @@ def test_adam_first_step_matches_closed_form():
     # with bias correction folded in; check against the explicit formula.
     g = np.array([0.3, -1.7, 2.0e-4])
     store = make_store(w=np.zeros(3))
-    store.entry("w").grad[:] = g
+    store.leaf("w").grad[:] = g
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     adam_step(store, lr=lr, beta1=b1, beta2=b2, eps=eps)
     m_hat = (b1 * 0 + (1 - b1) * g) / (1 - b1)
@@ -68,7 +68,7 @@ def test_adam_two_steps_match_hand_recurrence():
     w = 1.0
     for t, g in enumerate(gs, start=1):
         store.zero_grad()
-        store.entry("w").grad[:] = g
+        store.leaf("w").grad[:] = g
         adam_step(store, lr=lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -76,13 +76,13 @@ def test_adam_two_steps_match_hand_recurrence():
         v_hat = v / (1 - b2 ** t)
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
     npt.assert_allclose(store.value("w"), [w], rtol=1e-12, atol=0)
-    assert store.entry("w").step_count == 2
+    assert store.step_count == 2
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():
     store = make_store(good=[1.0], bad=[2.0])
-    store.entry("good").grad[:] = 0.5
-    store.entry("bad").grad[:] = np.nan
+    store.leaf("good").grad[:] = 0.5
+    store.leaf("bad").grad[:] = np.nan
     before = store.value("good").copy()
     with pytest.raises(ValueError, match="bad"):
         adam_step(store, lr=0.1)
@@ -93,7 +93,7 @@ def test_adam_rejects_nonfinite_gradient_by_name():
 def test_snapshot_restore_round_trip():
     store = make_store(w=[1.0, 2.0])
     snap = store.snapshot()
-    store.entry("w").grad[:] = [1.0, -1.0]
+    store.leaf("w").grad[:] = [1.0, -1.0]
     adam_step(store, lr=0.5)
     assert not np.array_equal(store.value("w"), snap["w"])
     store.restore(snap)
@@ -123,7 +123,7 @@ def test_grad_check_sigmoid_sum_matches_closed_form():
     store.zero_grad()
     loss(store).backward()
     s = 1.0 / (1.0 + np.exp(-store.value("theta")))
-    npt.assert_allclose(store.entry("theta").grad, s * (1 - s), atol=1e-6)
+    npt.assert_allclose(store.leaf("theta").grad, s * (1 - s), atol=1e-6)
 
 
 def test_grad_check_rejects_out_of_range_h():
@@ -135,13 +135,13 @@ def test_grad_check_rejects_out_of_range_h():
 
 def test_grad_check_restores_values():
     store = make_store(theta=[1.25, -0.5])
-    grad_check(lambda s: ad.vsum(s.leaf("theta") ** 2.0), store, h=1e-5)
+
+    def loss(s):
+        th = s.leaf("theta")
+        return ad.vsum(th * th)
+
+    grad_check(loss, store, h=1e-5)
     npt.assert_array_equal(store.value("theta"), [1.25, -0.5])
-
-
-def test_n_scalars_counts_every_entry():
-    store = make_store(a=np.zeros((2, 3)), b=np.zeros(5))
-    assert store.n_scalars() == 11
 
 
 # -- flat store -------------------------------------------------------------------
@@ -152,9 +152,9 @@ def adam_loop_oracle(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     for name, e in store.items():
         if not np.isfinite(e.grad).all():
             raise ValueError(f"non-finite gradient for parameter '{name}'")
+    store.step_count += 1
+    t = store.step_count
     for _, e in store.items():
-        e.step_count += 1
-        t = e.step_count
         e.adam_m[...] = beta1 * e.adam_m + (1.0 - beta1) * e.grad
         e.adam_v[...] = beta2 * e.adam_v + (1.0 - beta2) * e.grad * e.grad
         m_hat = e.adam_m / (1.0 - beta1 ** t)
@@ -171,7 +171,7 @@ def assert_stores_equal(a, b):
     for (name, e), (_, f) in zip(a.items(), b.items()):
         for field in ("value", "grad", "adam_m", "adam_v"):
             assert np.array_equal(getattr(e, field), getattr(f, field)), (name, field)
-        assert e.step_count == f.step_count, name
+    assert a.step_count == b.step_count
 
 
 def test_flat_adam_is_bitwise_the_per_entry_loop_for_300_steps():
@@ -179,67 +179,63 @@ def test_flat_adam_is_bitwise_the_per_entry_loop_for_300_steps():
     rng = np.random.default_rng(31)
     for step in range(300):
         for name in flat.names():
-            e = flat.entry(name)
-            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=e.grad.shape)
+            grad = flat.leaf(name).grad
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grad.shape)
             g[rng.random(g.shape) < 0.1] = 0.0
-            e.grad[...] = g
-            loop.entry(name).grad[...] = g
+            grad[...] = g
+            loop.leaf(name).grad[...] = g
         lr = (1e-2, 3e-3)[step % 2]
         adam_step(flat, lr)
         adam_loop_oracle(loop, lr)
     assert_stores_equal(flat, loop)
 
 
-def test_flat_adam_keeps_per_entry_step_counts():
-    # an entry added after two steps gets its own bias correction
-    flat, loop = make_store(a=[1.0, -2.0]), make_store(a=[1.0, -2.0])
-    for step in range(5):
-        if step == 2:
-            flat.add("b", [[0.5, 0.25]])
-            loop.add("b", [[0.5, 0.25]])
-        for s in (flat, loop):
-            for name, e in s.items():
-                e.grad[...] = 0.3 * step - e.value
-        adam_step(flat, 0.1)
-        adam_loop_oracle(loop, 0.1)
-    assert_stores_equal(flat, loop)
-    assert flat.entry("a").step_count == 5 and flat.entry("b").step_count == 3
+def test_add_after_an_adam_step_raises_and_names_the_parameter():
+    store = make_store(a=[1.0, -2.0])
+    store.add("b", [0.5])               # adds before the first step are fine
+    store.leaf("a").grad[...] = 0.3
+    adam_step(store, 0.1)
+    before = store.flat("value").copy()
+    with pytest.raises(ValueError, match="cannot add parameter 'c' after 1 Adam steps"):
+        store.add("c", [[0.5, 0.25]])
+    assert store.names() == ["a", "b"] and "c" not in store
+    assert np.array_equal(store.flat("value"), before)
 
 
 def test_nonfinite_gradient_leaves_every_buffer_untouched():
     store = full_model_store()
-    store.entry("encoder.W_O").grad[...] = 0.5
+    store.leaf("encoder.W_O").grad[...] = 0.5
     adam_step(store, 0.1)
     names = store.names()
-    store.entry(names[5]).grad[0] = np.inf
-    store.entry(names[-1]).grad[...] = np.nan
+    store.leaf(names[5]).grad[0] = np.inf
+    store.leaf(names[-1]).grad[...] = np.nan
     before = {f: store.flat(f).copy() for f in ("value", "grad", "adam_m", "adam_v")}
-    steps = [e.step_count for _, e in store.items()]
+    steps = store.step_count
     with pytest.raises(ValueError, match=f"parameter '{re.escape(names[5])}'"):
         adam_step(store, 0.1)
     for f, buf in before.items():
         assert np.array_equal(store.flat(f), buf, equal_nan=True), f
-    assert [e.step_count for _, e in store.items()] == steps
+    assert store.step_count == steps
 
 
 def test_entries_are_views_of_the_flat_buffers():
     store = make_store(a=[1.0, 2.0])
-    first = store.entry("a")
+    (_, first), = store.items()
     rng = np.random.default_rng(4)
     values = {"a": np.array([1.0, 2.0])}
     for i in range(40):      # enough adds to regrow the buffers several times
         values[f"w{i}"] = rng.normal(size=(i % 4 + 1, 3))
         store.add(f"w{i}", values[f"w{i}"])
-    assert store.entry("a") is first
+    assert dict(store.items())["a"] is first
     for name, e in store.items():
         for field in ("value", "grad", "adam_m", "adam_v"):
             assert np.shares_memory(getattr(e, field), store.flat(field)), (name, field)
         npt.assert_array_equal(e.value, values[name])
-    assert store.n_scalars() == store.flat("value").size
+    assert store.flat("value").size == sum(v.size for v in values.values())
     leaf = store.leaf("w3")
     ad.vsum(leaf * 2.0).backward()
     npt.assert_array_equal(store.flat("grad")[2:2 + values["w0"].size], 0.0)
-    npt.assert_array_equal(store.entry("w3").grad, np.full((4, 3), 2.0))
+    npt.assert_array_equal(store.leaf("w3").grad, np.full((4, 3), 2.0))
     store.zero_grad()
     npt.assert_array_equal(store.flat("grad"), 0.0)
 

@@ -66,7 +66,7 @@ def in_child(monkeypatch, action):
 def test_forked_scores_and_traces_are_bitwise_the_serial_ones(monkeypatch, forks, cpus):
     ds, model = small_model(60)
     ids = ds.ids()[::-1]
-    assert len({ds.case(i).n_visits for i in ids}) > 3
+    assert len({c.n_visits for c in ds.subset(ids)}) > 3
     assert len(model_mod._chunk_plan(ds.subset(ids))) >= 2 * cpus
     with monkeypatch.context() as m:
         m.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)

@@ -1,8 +1,9 @@
-"""Source hygiene of the package, checked with ``ast`` alone."""
+"""Source hygiene of the package and its tests, read with ``ast``."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 import carelens
 
 PACKAGE = Path(carelens.__file__).parent
+TESTS = Path(__file__).parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 # numpy is the one runtime dependency; the package may also import itself
 RUNTIME_IMPORTS = sys.stdlib_module_names | {"numpy", "carelens"}
 
@@ -36,7 +39,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -80,3 +84,138 @@ def test_foreign_import_check_sees_what_it_should():
               "def f():\n    import pandas as pd\n    return pd\n")
     assert foreign_imports(source) == ["line 2: scipy.stats", "line 8: hypothesis",
                                        "line 10: pandas"]
+
+
+def _bindings(tree: ast.Module, module: str) -> tuple[dict[str, str], set[str]]:
+    """What each name of ``module`` stands for, as a dotted path: a package
+    path starts with a dot (``ad`` -> ``.autodiff``, a top-level ``f`` ->
+    ``.<module>.f``), anything else is absolute (``np`` -> ``numpy``).  Also
+    the names that stand for whole modules."""
+    paths = {node.name: f".{module}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                paths[name] = alias.name if alias.asname else name
+                modules.add(name)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            prefix = ("." if node.level else "") + (f"{node.module}." if node.module else "")
+            for alias in node.names:
+                name = alias.asname or alias.name
+                paths[name] = prefix + alias.name
+                if node.module is None:         # from . import autodiff as ad
+                    modules.add(name)
+    return paths, modules
+
+
+def _path(node: ast.expr, paths: dict[str, str]) -> str | None:
+    """The dotted path of a name or an attribute chain; a name bound by no
+    import and no top-level ``def`` or ``class`` is taken as a builtin."""
+    if isinstance(node, ast.Name):
+        return paths.get(node.id, f"builtins.{node.id}")
+    if isinstance(node, ast.Attribute):
+        head = _path(node.value, paths)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def uncalled(sources: dict[str, str], entry_points=()) -> list[str]:
+    """Top-level functions and methods of a package that nothing in it
+    refers to, as ``module.function`` or ``module.Class.method``.
+
+    ``sources`` maps each module name to its source; the ``__all__`` of
+    ``__init__`` and ``entry_points`` (``module.function``) are exempt, and
+    so are dunder methods and methods that override an attribute of a base
+    class (a base from outside the package is imported to list its
+    attributes).  A function counts as referred to when a name or attribute
+    resolves to it through the package's imports, so ``np.exp`` never
+    refers to a package ``exp``; a method, when any attribute of its name
+    is read from something that is not a module.
+    """
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    bindings = {m: _bindings(tree, m) for m, tree in trees.items()}
+    refs, attrs = set(), set()
+    for m, tree in trees.items():
+        paths, modules = bindings[m]
+        for node in ast.walk(tree):
+            if not (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            refs.add(_path(node, paths))
+            if isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in modules):
+                attrs.add(node.attr)
+    exempt = {f".{name}" for name in entry_points}
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exempt |= {bindings["__init__"][0].get(n) for n in ast.literal_eval(node.value)}
+    classes = {f".{m}.{node.name}": (m, node) for m, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def inherited(cls: ast.ClassDef, module: str) -> set[str]:
+        names = set()
+        for base in cls.bases:
+            path = _path(base, bindings[module][0])
+            if path in classes:
+                m, node = classes[path]
+                names |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                names |= inherited(node, m)
+            elif path and not path.startswith("."):
+                owner, _, name = path.rpartition(".")
+                names |= set(dir(getattr(importlib.import_module(owner), name)))
+        return names
+
+    found = []
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                path = f".{m}.{node.name}"
+                if path not in refs and path not in exempt:
+                    found.append(path[1:])
+            elif isinstance(node, ast.ClassDef):
+                skip = inherited(node, m)
+                found += [f"{m}.{node.name}.{f.name}" for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name not in attrs
+                          and f.name not in skip
+                          and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return sorted(found)
+
+
+def test_every_function_and_method_has_a_caller_in_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    entry_points = [target.removeprefix("carelens.").replace(":", ".")
+                    for target in scripts.values()]
+    assert entry_points == ["cli.entrypoint"]
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert uncalled(sources, entry_points) == []
+
+
+def test_uncalled_check_sees_what_it_should():
+    sources = {
+        "__init__": "from .ops import public\nfrom .user import run\n"
+                    "__all__ = ['public', 'run']\n",
+        "ops": ("import argparse\nimport numpy as np\n"
+                "def public():\n    return np.exp(1.0)\n"
+                "def exp(x):\n    return x\n"
+                "def sqrt(x):\n    return np.sqrt(x)\n"
+                "def planted():\n    return sqrt(2.0)\n"
+                "def main():\n    return P(Box())\n"
+                "class Box:\n"
+                "    def __len__(self):\n        return 0\n"
+                "    def size(self):\n        return np.mean(len(self))\n"
+                "    def mean(self):\n        return 0.0\n"
+                "    def unused(self):\n        return None\n"
+                "class Crate(Box):\n"
+                "    def unused(self):\n        return 1.0\n"
+                "class P(argparse.ArgumentParser):\n"
+                "    def error(self, message):\n        raise SystemExit(message)\n"
+                "    def helper(self):\n        return None\n"),
+        "user": ("from . import ops as o\nfrom .ops import Box as B\n"
+                 "def run():\n    return o.sqrt(B().size())\n"),
+    }
+    assert uncalled(sources, ["ops.main"]) == [
+        "ops.Box.mean", "ops.Box.unused", "ops.P.helper", "ops.exp", "ops.planted"]

@@ -210,15 +210,14 @@ def _selects_once(key) -> bool:
 
 
 def take(a: Var, key) -> Var:
-    """a[key] with scatter-add backward."""
+    """a[key] for basic indexing only, so backward adds into one view."""
+    if not _selects_once(key):
+        raise ValueError("take needs basic indexing (ints, slices, None, ...)")
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        if _selects_once(key):
-            a.grad[key] += g
-        else:
-            np.add.at(a.grad, key, g)
+        a.grad[key] += g
 
     return Var(a.data[key], (a,), bwd)
 

@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import load_dataset, save_dataset
+from .data import load_dataset, save_dataset, typed
 from .metrics import bootstrap_eval
 from .model import load_model, save_model
 from .synthetic import SyntheticSpec, generate_synthetic, save_manifest
@@ -33,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+# each command's option table: defaults, and types that its flags and its
+# config-file checks come from
 GENERATE_OPTS = {"cases": 200, "features": 4, "baseline": 3, "profile": None,
                  "interaction": [], "noise": 0.0, "prevalence": 0.5, "seed": 0,
                  "w_fast": 1.0, "w_slow": 1.0, "w_int": 1.0}
@@ -44,27 +46,41 @@ TRAIN_OPTS = asdict(TrainConfig())
 TRAIN_TYPES = get_type_hints(TrainConfig)      # e.g. "d_ff": int | None
 
 EVAL_OPTS = {"bootstrap": 100, "seed": 0}
-EVAL_TYPES = {k: type(v) for k, v in EVAL_OPTS.items()}
+EVAL_TYPES = {"bootstrap": int, "seed": int}
 
 CV_OPTS = dict(TRAIN_OPTS, k=10, workers=1)
+CV_TYPES = dict(TRAIN_TYPES, k=int, workers=int)
 
 INSPECT_OPTS = {"per_patient": False}
+INSPECT_TYPES = {"per_patient": bool}
+
+HELP = {"profile": "comma list of fast/slow tags",
+        "interaction": "FEATURE:FLAG planted interaction (repeatable)",
+        "noise": "label flip probability", "bootstrap": "bootstrap replicates"}
 
 
-def _resolve(args, schema: dict) -> dict:
-    opts = dict(schema)
+def _resolve(args, defaults: dict, types: dict) -> tuple[dict, dict]:
+    """The options as given (defaults < --config file < flags), as
+    ``resolved_config.json`` records them, and the same options once each
+    value is checked against its type."""
+    opts = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             filecfg = json.load(fh)
-        unknown = sorted(set(filecfg) - set(schema))
+        if type(filecfg) is not dict:
+            raise CliError("a config file must hold one JSON object")
+        unknown = sorted(set(filecfg) - set(defaults))
         if unknown:
             raise CliError(f"unknown config key '{unknown[0]}'")
         opts.update(filecfg)
-    for key in schema:
+    for key in defaults:
         v = getattr(args, key, None)
         if v is not None:
             opts[key] = v
-    return opts
+    try:
+        return opts, {k: typed(f"config key '{k}'", v, types[k]) for k, v in opts.items()}
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _write_resolved(out_dir: Path, command: str, opts: dict, **paths) -> None:
@@ -80,24 +96,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _typed(key: str, value, hint):
-    """``value`` if its exact type is one that ``hint`` names (so a bool is
-    no int); an int may fill a float field and is stored as a float."""
-    kinds = get_args(hint) or (hint,)
-    if type(value) not in kinds and not (hint is float and type(value) is int):
-        raise CliError(f"config key '{key}' must be "
-                       f"{getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
-    return float(value) if hint is float else value
-
-
-def _typed_opts(opts: dict, types: dict) -> dict:
-    return {k: _typed(k, opts[k], t) for k, t in types.items()}
-
-
-def _train_config(opts: dict) -> TrainConfig:
-    return TrainConfig(**_typed_opts(opts, TRAIN_TYPES))
-
-
 def _interaction(pair) -> tuple[int, int]:
     """A ``FEATURE:FLAG`` string as a pair of indices."""
     if type(pair) is str:
@@ -110,22 +108,21 @@ def _interaction(pair) -> tuple[int, int]:
 
 
 def cmd_generate(args) -> int:
-    opts = _resolve(args, GENERATE_OPTS)
-    typed = _typed_opts(opts, GENERATE_TYPES)
-    interaction = [_interaction(pair) for pair in typed["interaction"]]
+    given, opts = _resolve(args, GENERATE_OPTS, GENERATE_TYPES)
+    interaction = [_interaction(pair) for pair in opts["interaction"]]
     out = _out_dir(args)
-    profile = (None if not typed["profile"]
-               else [p.strip() for p in typed["profile"].split(",")])
+    profile = (None if not opts["profile"]
+               else [p.strip() for p in opts["profile"].split(",")])
     spec = SyntheticSpec(
-        n_features=typed["features"], n_baseline=typed["baseline"],
-        n_cases=typed["cases"], decay_profile=profile, interaction=interaction,
-        label_noise=typed["noise"], seed=typed["seed"],
-        prevalence=typed["prevalence"], w_fast=typed["w_fast"],
-        w_slow=typed["w_slow"], w_int=typed["w_int"])
+        n_features=opts["features"], n_baseline=opts["baseline"],
+        n_cases=opts["cases"], decay_profile=profile, interaction=interaction,
+        label_noise=opts["noise"], seed=opts["seed"],
+        prevalence=opts["prevalence"], w_fast=opts["w_fast"],
+        w_slow=opts["w_slow"], w_int=opts["w_int"])
     dataset, manifest = generate_synthetic(spec)
     save_dataset(dataset, out / "dataset.jsonl")
     save_manifest(manifest, out / "manifest.json")
-    _write_resolved(out, "generate", opts, out=out)
+    _write_resolved(out, "generate", given, out=out)
     print(f"wrote {len(dataset)} cases "
           f"(prevalence {manifest['empirical_prevalence']:.3f}) to "
           f"{out / 'dataset.jsonl'}")
@@ -133,10 +130,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _resolve(args, TRAIN_OPTS)
+    given, opts = _resolve(args, TRAIN_OPTS, TRAIN_TYPES)
     out = _out_dir(args)
     dataset = load_dataset(args.data)
-    config = _train_config(opts)
+    config = TrainConfig(**opts)
     train_ids, val_ids = split_train_val(
         dataset.ids(), dataset.labels(), config.val_fraction,
         _derive_seed(config.seed, 9))
@@ -145,7 +142,7 @@ def cmd_train(args) -> int:
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in model.log:
             fh.write(json.dumps(entry) + "\n")
-    _write_resolved(out, "train", opts, data=args.data, out=out)
+    _write_resolved(out, "train", given, data=args.data, out=out)
     best = max((e["val_auprc"] for e in model.log), default=float("nan"))
     print(f"trained {len(model.log)} epochs, best val_auprc {best:.4f}, "
           f"model at {out / 'model.json'}")
@@ -164,38 +161,36 @@ def _format_counts(counts: dict) -> str:
 
 
 def cmd_eval(args) -> int:
-    opts = _resolve(args, EVAL_OPTS)
-    typed = _typed_opts(opts, EVAL_TYPES)
-    if typed["bootstrap"] < 1:
+    given, opts = _resolve(args, EVAL_OPTS, EVAL_TYPES)
+    if opts["bootstrap"] < 1:
         raise CliError("option 'bootstrap' must be at least 1, "
-                       f"got {typed['bootstrap']}")
+                       f"got {opts['bootstrap']}")
     out = _out_dir(args)
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     scores, labels = model.score(dataset)
-    report = bootstrap_eval(scores, labels, typed["bootstrap"], typed["seed"])
+    report = bootstrap_eval(scores, labels, opts["bootstrap"], opts["seed"])
     scored = _case_counts(labels, dataset)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
-    _write_resolved(out, "eval", opts, model=args.model, data=args.data, out=out)
+    _write_resolved(out, "eval", given, model=args.model, data=args.data, out=out)
     print(f"scored {_format_counts(scored)}")
     print(report.format_table())
     return 0
 
 
 def cmd_cv(args) -> int:
-    opts = _resolve(args, CV_OPTS)
+    given, opts = _resolve(args, CV_OPTS, CV_TYPES)
+    k, workers = opts.pop("k"), opts.pop("workers")
     out = _out_dir(args)
     dataset = load_dataset(args.data)
-    config = _train_config(opts)
-    report = cross_validate(dataset, _typed("k", opts["k"], int), config,
-                            workers=_typed("workers", opts["workers"], int))
+    report = cross_validate(dataset, k, TrainConfig(**opts), workers=workers)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_resolved(out, "cv", opts, data=args.data, out=out)
+    _write_resolved(out, "cv", given, data=args.data, out=out)
     print(report.format_table())
     return 0
 
@@ -215,7 +210,7 @@ def _parse_filters(pairs: list[str]) -> list[tuple[str, float]]:
 
 
 def cmd_inspect(args) -> int:
-    opts = _resolve(args, INSPECT_OPTS)
+    _, opts = _resolve(args, INSPECT_OPTS, INSPECT_TYPES)
     filters = _parse_filters(args.filter or [])
     out = _out_dir(args)
     model = load_model(args.model)
@@ -272,72 +267,41 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def flags(p: argparse.ArgumentParser, types: dict) -> None:
+    """One flag per option; a bool gets --x and --no-x, a list is
+    repeatable.  --seed is added with the other common flags."""
+    for name, hint in types.items():
+        if name != "seed":
+            kind = ({"action": argparse.BooleanOptionalAction} if hint is bool
+                    else {"action": "append"} if hint is list
+                    else {"type": (get_args(hint) or (hint,))[0]})  # int | None: int
+            p.add_argument("--" + name.replace("_", "-"), help=HELP.get(name), **kind)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="carelens",
                      description="Clinical risk prediction with time-damped, "
                                  "context-aware feature attention")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, types, files, about in (
+            ("generate", cmd_generate, GENERATE_TYPES, (), "write a synthetic cohort"),
+            ("train", cmd_train, TRAIN_TYPES, ("data",), "fit a model"),
+            ("eval", cmd_eval, EVAL_TYPES, ("model", "data"),
+             "score a dataset with bootstrap CIs"),
+            ("cv", cmd_cv, CV_TYPES, ("data",), "k-fold cross-validation"),
+            ("inspect", cmd_inspect, INSPECT_TYPES, ("model", "data"),
+             "export decay rates and attention maps")):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON file of option overrides")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("generate", help="write a synthetic cohort")
-    common(p)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--features", type=int)
-    p.add_argument("--baseline", type=int)
-    p.add_argument("--profile", help="comma list of fast/slow tags")
-    p.add_argument("--interaction", action="append",
-                   help="FEATURE:FLAG planted interaction (repeatable)")
-    p.add_argument("--noise", type=float, help="label flip probability")
-    p.add_argument("--prevalence", type=float)
-    p.add_argument("--w-fast", dest="w_fast", type=float)
-    p.add_argument("--w-slow", dest="w_slow", type=float)
-    p.add_argument("--w-int", dest="w_int", type=float)
-    p.set_defaults(func=cmd_generate)
-
-    def train_flags(p):
-        # one flag per TrainConfig field; --seed comes from common()
-        for name, hint in TRAIN_TYPES.items():
-            flag = "--" + name.replace("_", "-")
-            if hint is bool:
-                p.add_argument(flag, dest=name, default=None,
-                               action=argparse.BooleanOptionalAction)
-            elif name != "seed":    # int | None parses as int
-                p.add_argument(flag, dest=name, type=(get_args(hint) or (hint,))[0])
-
-    p = sub.add_parser("train", help="fit a model")
-    common(p)
-    p.add_argument("--data", required=True)
-    train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score a dataset with bootstrap CIs")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--bootstrap", type=int, help="bootstrap replicates")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cv", help="k-fold cross-validation")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--workers", type=int)
-    train_flags(p)
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("inspect", help="export decay rates and attention maps")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--filter", action="append",
-                   help="KEY=VALUE case filter, e.g. label=1 (repeatable)")
-    p.add_argument("--per-patient", dest="per_patient",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_inspect)
+        for f in files:
+            p.add_argument(f"--{f}", required=True)
+        if name == "inspect":
+            p.add_argument("--filter", action="append",
+                           help="KEY=VALUE case filter, e.g. label=1 (repeatable)")
+        flags(p, types)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -13,9 +13,10 @@ name; names missing from the header are an error.  Every ``t``, value and
 baseline entry is a JSON number (an integer loads as its float); a string,
 boolean, null or nested list rejects the case.  Labels are the JSON
 integers 0 or 1.  Cases that violate the schema invariants are skipped with
-a logged diagnostic naming the case id; a case line that is not a JSON
-object is skipped the same way, named ``line <k>`` (1-based file line).  A
-malformed header aborts the load.
+a logged diagnostic naming the case id; a case line that is not UTF-8, not
+a JSON object or has no string ``id`` is skipped the same way, named
+``line <k>`` (1-based file line).  A header whose name lists are not
+non-empty lists of distinct strings aborts the load.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args
 
 import numpy as np
 
@@ -35,6 +36,16 @@ STD_FLOOR = 1e-6
 class DatasetFormatError(ValueError):
     """File-level schema violation that aborts loading (unlike per-case
     problems, which only skip the offending case)."""
+
+
+def typed(what: str, value, hint):
+    """``value`` if its exact type is one that ``hint`` names (a bool is no
+    int; an int may fill a float field, as a float), else ValueError."""
+    kinds = get_args(hint) or (hint,)
+    if type(value) not in kinds and not (hint is float and type(value) is int):
+        raise ValueError(f"{what} must be {getattr(hint, '__name__', hint)}, "
+                         f"got {json.dumps(value, default=repr)}")
+    return float(value) if hint is float else value
 
 
 @dataclass
@@ -111,12 +122,20 @@ class Normalization:
 
     @staticmethod
     def from_json(d: dict) -> "Normalization":
-        return Normalization(
-            np.array(d["feature_mean"], dtype=np.float64),
-            np.array(d["feature_std"], dtype=np.float64),
-            np.array(d["baseline_mean"], dtype=np.float64),
-            np.array(d["baseline_std"], dtype=np.float64),
-            np.array(d["baseline_is_flag"], dtype=bool))
+        """Raise ValueError naming a field that is missing or not a list of
+        JSON numbers, or a ``baseline_is_flag`` entry that is not 0 or 1."""
+        arrays = {}
+        for name in ("feature_mean", "feature_std", "baseline_mean",
+                     "baseline_std", "baseline_is_flag"):
+            if type(d) is not dict or name not in d:
+                raise ValueError(f"normalization has no field '{name}'")
+            arrays[name] = _numbers(d[name], True)
+            if arrays[name].dtype.kind != "f":
+                raise ValueError(f"normalization '{name}' must be a list of numbers")
+        if not np.isin(arrays["baseline_is_flag"], (0.0, 1.0)).all():
+            raise ValueError("normalization 'baseline_is_flag' entries must be 0 or 1")
+        arrays["baseline_is_flag"] = arrays["baseline_is_flag"].astype(bool)
+        return Normalization(**arrays)
 
 
 @dataclass
@@ -212,40 +231,56 @@ def _parse_label(raw, case_id: str) -> int:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset file; invalid cases, and case lines that are not a
-    JSON object, are skipped and recorded in ``rejects`` with a diagnostic
-    (keyed by case id, or by ``line <k>`` when the line has no usable id).
+    """Parse a dataset file; invalid cases are skipped and recorded in
+    ``rejects`` with a diagnostic, keyed by case id, or by ``line <k>`` for
+    a line that is not UTF-8, not a JSON object, nested too deep to decode,
+    or without a string ``id``.
 
     Each field of a case becomes one numpy array: the timestamps, the
     (T, N) visit values and the baseline."""
-    with open(path, encoding="utf-8") as fh:
-        lines = ((k, ln) for k, ln in enumerate(map(str.strip, fh), 1) if ln)
+    with open(path, "rb") as fh:
+        lines = ((k, ln) for k, ln in enumerate(map(bytes.strip, fh), 1) if ln)
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty dataset file")
         try:
-            header = json.loads(first[1])
-            feature_names = list(header["feature_names"])
-            baseline_names = list(header["baseline_names"])
-        except (ValueError, KeyError, TypeError) as exc:
+            header = json.loads(first[1].decode())
+            feature_names = header["feature_names"]
+            baseline_names = header["baseline_names"]
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed header line") from exc
+        for key, names in (("feature_names", feature_names),
+                           ("baseline_names", baseline_names)):
+            if (type(names) is not list or not names
+                    or any(type(n) is not str for n in names) or len(set(names)) < len(names)):
+                raise ValueError(f"{path}: malformed header line: '{key}' must be "
+                                 "a non-empty list of distinct strings")
         ds = Dataset(feature_names, baseline_names, [])
         seen: set[str] = set()
+
+        def reject(key: str, why: str) -> None:
+            log.warning("rejected %s: %s", key, why)
+            ds.rejects.append((key, why))
+
         for k, ln in lines:
+            line_id = f"line {k}"
             try:
-                obj = json.loads(ln)
+                obj = json.loads(ln.decode())    # bytes that are not UTF-8 raise ValueError
                 if not isinstance(obj, dict):
                     raise ValueError(f"got {type(obj).__name__}")
-            except ValueError as exc:
-                line_id = f"line {k}"
-                log.warning("rejected %s: not a JSON object: %s", line_id, exc)
-                ds.rejects.append((line_id, f"{line_id}: not a JSON object: {exc}"))
+            except (ValueError, RecursionError) as exc:
+                reject(line_id, f"{line_id}: not a JSON object: {exc}")
                 continue
-            case_id = str(obj.get("id", "<missing id>"))
+            case_id = obj.get("id")
+            if type(case_id) is not str:
+                why = ("missing field 'id'" if "id" not in obj
+                       else f"id must be a string, got {json.dumps(case_id)}")
+                reject(line_id, f"{line_id}: {why}")
+                continue
             # JSON spells a bool only as true or false, so a line with no
             # "r" and no "f" holds none; one letter is found by memchr, many
             # times faster than a word
-            may_hold_bool = "r" in ln or "f" in ln
+            may_hold_bool = b"r" in ln or b"f" in ln
             try:
                 if case_id in seen:
                     raise ValueError(f"case {case_id}: duplicate id")
@@ -273,8 +308,7 @@ def load_dataset(path) -> Dataset:
             except DatasetFormatError:
                 raise
             except (ValueError, KeyError, TypeError) as exc:
-                log.warning("rejected %s: %s", case_id, exc)
-                ds.rejects.append((case_id, str(exc)))
+                reject(case_id, str(exc))
                 continue
             seen.add(case_id)
             ds.cases.append(case)

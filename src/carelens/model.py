@@ -21,13 +21,15 @@ import signal
 import threading
 from dataclasses import dataclass, asdict, field, replace
 from multiprocessing import parent_process
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .context import LN_EPS, decorrelation_total, encode, init_encoder_params
-from .data import Dataset, Normalization, PatientCase, apply_normalization
+from .data import (Dataset, Normalization, PatientCase, _numbers, apply_normalization,
+                   typed)
 from .embedding import (channel_leaves, decay_rate, embed_baseline_batch,
                         gru_forward_batch, init_baseline_params,
                         init_channel_params, time_aware_attention_batch)
@@ -58,18 +60,20 @@ class ModelConfig:
         return 2 * self.d if self.d_ff is None else self.d_ff
 
     def validate(self) -> None:
+        for key, hint in CONFIG_TYPES.items():
+            typed(f"model config '{key}'", getattr(self, key), hint)
         if min(self.n_features, self.n_baseline, self.d, self.heads) < 1:
             raise ValueError("model dimensions must be positive")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.ffn_dim < 1:
             raise ValueError("d_ff must be positive")
-        for key in ("per_position_keys", "time_aware", "pool_positions"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(f"model config '{key}' must be true or false")
-        eps = self.ln_eps
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < np.inf:
-            raise ValueError(f"model config 'ln_eps' must be finite and above 0, not {eps!r}")
+        if not 0 < self.ln_eps < np.inf:
+            raise ValueError("model config 'ln_eps' must be finite and above 0, "
+                             f"not {self.ln_eps!r}")
+
+
+CONFIG_TYPES = get_type_hints(ModelConfig)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -385,10 +389,18 @@ def load_model(path) -> FittedModel:
     """Rebuild a model bit-for-bit from its file, in init order (fresh Adam state)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
+    if (type(doc) is not dict or doc.get("format") != MODEL_FORMAT
+            or doc.get("version") != MODEL_VERSION):
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-    cfg = ModelConfig(**doc["config"])
+    for key in ("config", "feature_names", "baseline_names", "normalization", "params"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key '{key}'")
+    odd = sorted(set(CONFIG_TYPES) ^ set(typed(f"{path}: 'config'", doc["config"], dict)))
+    if odd:
+        raise ValueError(f"{path}: model config has "
+                         f"{'no' if odd[0] in CONFIG_TYPES else 'unknown'} key '{odd[0]}'")
     try:
+        cfg = ModelConfig(**doc["config"])
         store = init_params(cfg, 0)     # validates the config
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -404,16 +416,19 @@ def load_model(path) -> FittedModel:
     if extra:
         raise ValueError(f"{path}: unexpected parameter '{extra[0]}'")
     for name, e in store.items():
+        data = _numbers(params[name]["data"], True)
+        if data.dtype.kind != "f":
+            raise ValueError(f"{path}: parameter '{name}' must be a list of numbers")
         try:
-            e.value[...] = np.array(params[name]["data"], dtype=np.float64).reshape(e.value.shape)
+            e.value[...] = data.reshape(e.value.shape)
         except ValueError as exc:
             raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
         if not np.isfinite(e.value).all():
             raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
     norm = None
     if doc["normalization"] is not None:
-        norm = Normalization.from_json(doc["normalization"])
         try:
+            norm = Normalization.from_json(doc["normalization"])
             norm.validate(cfg.n_features, cfg.n_baseline)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

@@ -203,8 +203,13 @@ def test_take_reshape_transpose_backward():
 
 def test_take_adds_every_selected_copy():
     x = ad.Var(np.zeros((3, 2)))
-    ad.vsum(x[np.array([0, 2, 0])] * 2.0 + x[1] + x[..., 1:]).backward()
-    npt.assert_array_equal(x.grad, [[4.0, 6.0], [3.0, 5.0], [2.0, 4.0]])
+    ad.vsum(x[0] * 2.0 + x[1] + x[..., 1:] + x[None, 2, :1]).backward()
+    npt.assert_array_equal(x.grad, [[6.0, 8.0], [3.0, 5.0], [6.0, 2.0]])
+    # an advanced index may select an element twice; it is refused when built
+    for key in (np.array([0, 2, 0]), [0, 1], np.array([True, False, True]), True,
+                (0, np.array([1]))):
+        with pytest.raises(ValueError, match="take needs basic indexing"):
+            x[key]
 
 
 def test_sum_mean_axes_backward():

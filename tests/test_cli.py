@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from carelens.cli import TRAIN_OPTS, _train_config, build_parser, main
+from carelens.cli import TRAIN_OPTS, TRAIN_TYPES, _resolve, build_parser, main
 from carelens.data import load_dataset
 from carelens.train import TrainConfig
 
@@ -339,6 +339,29 @@ def test_train_and_cv_flags_are_pinned_and_follow_train_config(command, extras):
     assert dests == {f.name for f in fields(TrainConfig)} | extras
 
 
+# every subcommand's flags as the hand-written parser declared them
+OPTION_STRINGS = {
+    "generate": {"-h", "--help", "--config", "--seed", "--out", "--cases", "--features",
+                 "--baseline", "--profile", "--interaction", "--noise", "--prevalence",
+                 "--w-fast", "--w-slow", "--w-int"},
+    "train": TRAIN_OPTION_STRINGS,
+    "eval": {"-h", "--help", "--config", "--seed", "--out", "--model", "--data",
+             "--bootstrap"},
+    "cv": TRAIN_OPTION_STRINGS | {"--k", "--workers"},
+    "inspect": {"-h", "--help", "--config", "--seed", "--out", "--model", "--data",
+                "--filter", "--per-patient", "--no-per-patient"}}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+def test_every_subcommand_keeps_its_flags(command):
+    actions = subparser(command)._actions
+    assert {s for a in actions for s in a.option_strings} == OPTION_STRINGS[command]
+    required = {a.option_strings[0] for a in actions if a.required}
+    assert required == {"--out", "--data", "--model"} & OPTION_STRINGS[command]
+    # no flag carries a default: a flag left out leaves the config file's value
+    assert all(a.default is None for a in actions if a.dest != "help")
+
+
 # resolved_config.json as the hand-written option table wrote it
 RESOLVED_DEFAULTS = """{
   "batch_size": 32,
@@ -406,13 +429,13 @@ def test_resolved_config_bytes_are_unchanged(tmp_path, capsys):
 
 def config_error(tmp_path, capsys, command, values):
     """Run ``command`` with ``values`` as its config file; the one-line JSON
-    error of a usage failure.  ``eval`` is given no model file, so its
-    check must come before any file is read."""
+    error of a usage failure.  ``eval`` and ``inspect`` are given no model
+    file, so their check must come before any file is read."""
     inputs = ()
     if command != "generate":
         data = gen_dir(tmp_path, capsys, cases=20)
         inputs = ("--data", str(data / "dataset.jsonl"))
-    if command == "eval":
+    if command in ("eval", "inspect"):
         inputs += ("--model", str(tmp_path / "missing.json"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
@@ -421,6 +444,14 @@ def config_error(tmp_path, capsys, command, values):
     assert code == 2, (out, err)
     assert len(err.strip().splitlines()) == 1
     return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("values", [["cases"], "cases", 3, None])
+def test_a_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, capsys, values):
+    # ["cases"] used to exit 1 with a dict-update ValueError, and "cases" to
+    # report the unknown key 'a'
+    msg = config_error(tmp_path, capsys, "generate", values)
+    assert msg == "a config file must hold one JSON object"
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1.0, None])
@@ -513,13 +544,28 @@ def test_generate_config_of_the_right_types_runs_and_is_recorded_as_given(
     assert got == RESOLVED_GENERATE.replace("OUT", str(out))
 
 
-def test_config_values_of_the_right_type_become_the_train_config():
-    config = _train_config(dict(TRAIN_OPTS, lr=1, lambda_decorr=0, d_ff=None,
-                                time_aware=False, batch_size=16))
+def test_config_values_of_the_right_type_become_the_train_config(tmp_path):
+    def resolved(**values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        return _resolve(argparse.Namespace(config=str(cfg)), TRAIN_OPTS, TRAIN_TYPES)
+
+    given, opts = resolved(lr=1, lambda_decorr=0, d_ff=None, time_aware=False,
+                           batch_size=16)
+    assert given == dict(TRAIN_OPTS, lr=1, lambda_decorr=0, time_aware=False,
+                         batch_size=16)
+    config = TrainConfig(**opts)
     assert config == TrainConfig(lr=1.0, lambda_decorr=0.0, time_aware=False,
                                  batch_size=16)
     assert type(config.lr) is float and type(config.lambda_decorr) is float
-    assert _train_config(dict(TRAIN_OPTS, d_ff=64)).d_ff == 64
+    assert TrainConfig(**resolved(d_ff=64)[1]).d_ff == 64
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_inspect_config_per_patient_takes_only_a_json_bool(tmp_path, capsys, value):
+    # {"per_patient": "no"} used to write per-patient rows
+    msg = config_error(tmp_path, capsys, "inspect", {"per_patient": value})
+    assert msg == f"config key 'per_patient' must be bool, got {json.dumps(value)}"
 
 
 # -- inspect filters are numbers, and a label is 0 or 1 ---------------------------

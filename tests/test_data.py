@@ -189,6 +189,66 @@ def test_malformed_header_line_names_the_path(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("key,names", [
+    ("feature_names", "hb"), ("feature_names", [1, None]), ("feature_names", ["hr", "hr"]),
+    ("feature_names", []), ("baseline_names", []), ("baseline_names", ["age", ["flag"]]),
+    ("baseline_names", {"age": 0}), ("baseline_names", None)])
+def test_header_names_must_be_a_non_empty_list_of_distinct_strings(tmp_path, key, names):
+    # "hb" used to load as the features h and b, ["hr", "hr"] as two
+    # columns filled from one key, and [] until training failed
+    p = tmp_path / "h.jsonl"
+    write_file(p, [dict(HEADER, **{key: names}), case_line("p1", [0.0], [[1], [2]])])
+    with pytest.raises(ValueError, match=f"h.jsonl: malformed header line: '{key}' must "
+                                         "be a non-empty list of distinct strings$"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("line,why", [
+    ({"baseline": [1, 0], "visits": [{"t": 0.0, "values": [1, 2]}], "label": 0},
+     "line 2: missing field 'id'"),
+    (dict(case_line("x", [0.0], [[1], [2]]), id=["a"]), 'line 2: id must be a string, got ["a"]'),
+    (dict(case_line("x", [0.0], [[1], [2]]), id=7), "line 2: id must be a string, got 7"),
+    (dict(case_line("x", [0.0], [[1], [2]]), id=None), "line 2: id must be a string, got null"),
+])
+def test_a_case_without_a_string_id_is_rejected_by_line_number(tmp_path, line, why):
+    # a missing id used to load as "<missing id>", and ["a"] as "['a']"
+    write_file(tmp_path / "d.jsonl", [HEADER, line, case_line("ok", [0.0], [[1], [2]])])
+    ds = load_dataset(tmp_path / "d.jsonl")
+    assert ds.ids() == ["ok"]
+    assert ds.rejects == [("line 2", why)]
+
+
+def test_a_line_that_is_not_utf8_is_rejected_by_line_number(tmp_path):
+    # one byte that is not UTF-8 used to fail the whole load
+    good = json.dumps(case_line("p1", [0.0], [[1], [2]])).encode()
+    bad = json.dumps(case_line("p\u00e9", [0.0], [[1], [2]])).encode().replace(
+        b"\\u00e9", b"\xe9")
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b"\n".join([json.dumps(HEADER).encode(), good, bad,
+                              good.replace(b"p1", b"p2")]) + b"\n")
+    ds = load_dataset(p)
+    assert ds.ids() == ["p1", "p2"]
+    assert [rid for rid, _ in ds.rejects] == ["line 3"]
+    assert ds.rejects[0][1].startswith("line 3: not a JSON object: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("depth", [200_000, 5_000])
+def test_a_line_nested_too_deep_is_rejected_by_line_number(tmp_path, depth):
+    # a case line nested 200 000 deep used to fail the whole load
+    deep = '{"id": "deep", "visits": ' + "[" * depth + "]" * depth + "}"
+    p = tmp_path / "d.jsonl"
+    p.write_text("\n".join([json.dumps(HEADER), deep,
+                            json.dumps(case_line("ok", [0.0], [[1], [2]]))]) + "\n",
+                 encoding="utf-8")
+    ds = load_dataset(p)
+    assert ds.ids() == ["ok"]
+    assert [rid for rid, _ in ds.rejects] == ["line 2"]
+    assert "not a JSON object: maximum recursion depth" in ds.rejects[0][1]
+    p.write_text("[" * depth + "]" * depth + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="d.jsonl: malformed header line"):
+        load_dataset(p)
+
+
 @pytest.mark.parametrize("label", [0.9, 1.0, "1", True, False, None, 2, -1])
 def test_label_must_be_the_integer_zero_or_one(tmp_path, label):
     write_file(tmp_path / "d.jsonl",

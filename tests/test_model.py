@@ -310,7 +310,7 @@ def test_load_model_rejects_a_config_flag_that_is_not_a_bool(tmp_path, key, valu
     doc["config"][key] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model config "
-                                         f"'{key}' must be true or false$"):
+                                         f"'{key}' must be bool, got {re.escape(json.dumps(value))}$"):
         load_model(path)
 
 
@@ -321,12 +321,113 @@ def test_load_model_rejects_an_ln_eps_that_is_not_finite_and_positive(tmp_path, 
     path, doc = _saved_model_doc(tmp_path)
     doc["config"]["ln_eps"] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
+    why = ("must be finite and above 0" if type(value) is float
+           else f"must be float, got {re.escape(json.dumps(value))}$")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model config "
-                                         "'ln_eps' must be finite and above 0"):
+                                         f"'ln_eps' {why}"):
         load_model(path)
     doc["config"]["ln_eps"] = 1
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_model(path).config.ln_eps == 1
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("d", "4", "model config 'd' must be int, got \"4\""),
+    ("d", 4.0, "model config 'd' must be int, got 4.0"),
+    ("heads", True, "model config 'heads' must be int, got true"),
+    ("n_features", None, "model config 'n_features' must be int, got null"),
+    ("d_ff", 8.5, "model config 'd_ff' must be int | None, got 8.5"),
+])
+def test_load_model_rejects_a_config_value_of_the_wrong_json_type(tmp_path, key, value, why):
+    # "d": "4" and "d": 4.0 used to fail with a raw TypeError naming no key
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(why)}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("change,why", [
+    (lambda c: c.update(depth=2), "model config has unknown key 'depth'"),
+    (lambda c: c.pop("time_aware"), "model config has no key 'time_aware'"),
+    (lambda c: c.pop("n_baseline"), "model config has no key 'n_baseline'"),
+])
+def test_load_model_names_an_unknown_or_missing_config_key(tmp_path, change, why):
+    path, doc = _saved_model_doc(tmp_path)
+    change(doc["config"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {why}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["config", "feature_names", "baseline_names",
+                                 "normalization", "params"])
+def test_load_model_names_a_missing_top_level_key(tmp_path, key):
+    path, doc = _saved_model_doc(tmp_path)
+    del doc[key]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key '{key}'$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "carelens-model", None])
+def test_load_model_rejects_a_file_that_is_not_a_json_object(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="not a carelens-model v1 file"):
+        load_model(path)
+    path, saved = _saved_model_doc(tmp_path)
+    saved["config"] = doc
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'config' must be dict"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", ["1", True, False, None, [0.5]])
+def test_load_model_rejects_parameter_data_that_is_not_numbers(tmp_path, bad):
+    # ["1", ...] and [true, ...] used to load as 1.0
+    path, doc = _saved_model_doc(tmp_path)
+    doc["params"]["head.W_out"]["data"][0] = bad
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: parameter 'head.W_out' "
+                                         "must be a list of numbers$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field,entry,why", [
+    ("feature_mean", "0", "'feature_mean' must be a list of numbers"),
+    ("baseline_std", True, "'baseline_std' must be a list of numbers"),
+    ("feature_std", None, "'feature_std' must be a list of numbers"),
+    ("baseline_is_flag", 2, "'baseline_is_flag' entries must be 0 or 1"),
+    ("baseline_is_flag", True, "'baseline_is_flag' must be a list of numbers"),
+    ("baseline_is_flag", 0.5, "'baseline_is_flag' entries must be 0 or 1"),
+])
+def test_load_model_rejects_a_normalization_entry_that_is_not_a_number(tmp_path, field,
+                                                                       entry, why):
+    # a mean of "0" used to load as 0.0, and a flag of 2 as True
+    path, doc = _doc_with_normalization(tmp_path)
+    doc["normalization"][field][0] = entry
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: normalization {why}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("norm", [{"feature_mean": [0.0]}, [0.0], "stats"])
+def test_load_model_names_a_missing_normalization_field(tmp_path, norm):
+    path, doc = _saved_model_doc(tmp_path)
+    doc["normalization"] = norm
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: normalization has no "
+                                         "field 'f"):
+        load_model(path)
+
+
+def test_a_model_with_normalization_saves_loads_and_saves_byte_for_byte(tmp_path):
+    path, doc = _doc_with_normalization(tmp_path)
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_load_model_takes_params_in_any_order_and_saves_them_in_init_order(tmp_path):

@@ -10,31 +10,33 @@ and averaged (optionally pooled across positions instead).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .optim import uniform_init
+from .optim import ParamDecl, uniform_init
 
 LN_EPS = 1e-5
 
 
-def init_encoder_params(store, d: int, n_heads: int, d_ff: int,
-                        rng: np.random.Generator) -> None:
+def init_encoder_params(d: int, n_heads: int, d_ff: int,
+                        rng: np.random.Generator | None) -> Iterator[ParamDecl]:
     if d % n_heads != 0:
         raise ValueError(f"d={d} not divisible by heads={n_heads}")
     d_k = d // n_heads
     for m in range(n_heads):
         for w in ("W_q", "W_k", "W_v"):
-            store.add(f"encoder.head{m}.{w}", uniform_init(rng, (d_k, d), d))
-    store.add("encoder.W_O", uniform_init(rng, (d, n_heads * d_k), n_heads * d_k))
-    store.add("encoder.ffn.W_1", uniform_init(rng, (d_ff, d), d))
-    store.add("encoder.ffn.b_1", np.zeros(d_ff))
-    store.add("encoder.ffn.W_2", uniform_init(rng, (d, d_ff), d_ff))
-    store.add("encoder.ffn.b_2", np.zeros(d))
+            yield f"encoder.head{m}.{w}", (d_k, d), uniform_init(rng, d)
+    yield "encoder.W_O", (d, n_heads * d_k), uniform_init(rng, n_heads * d_k)
+    yield "encoder.ffn.W_1", (d_ff, d), uniform_init(rng, d)
+    yield "encoder.ffn.b_1", (d_ff,), np.zeros
+    yield "encoder.ffn.W_2", (d, d_ff), uniform_init(rng, d_ff)
+    yield "encoder.ffn.b_2", (d,), np.zeros
     for ln in ("ln1", "ln2"):
-        store.add(f"encoder.{ln}.gain", np.ones(d))
-        store.add(f"encoder.{ln}.bias", np.zeros(d))
+        yield f"encoder.{ln}.gain", (d,), np.ones
+        yield f"encoder.{ln}.bias", (d,), np.zeros
 
 
 def multi_head_attention(features: Var, heads: list[dict[str, Var]]

@@ -40,12 +40,26 @@ class DatasetFormatError(ValueError):
 
 def typed(what: str, value, hint):
     """``value`` if its exact type is one that ``hint`` names (a bool is no
-    int; an int may fill a float field, as a float), else ValueError."""
-    kinds = get_args(hint) or (hint,)
-    if type(value) not in kinds and not (hint is float and type(value) is int):
+    int; an int within the float range may fill a float field, as a float),
+    else ValueError."""
+    if hint is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:               # beyond the float range
+            pass
+    if type(value) not in (get_args(hint) or (hint,)):
         raise ValueError(f"{what} must be {getattr(hint, '__name__', hint)}, "
                          f"got {json.dumps(value, default=repr)}")
-    return float(value) if hint is float else value
+    return value
+
+
+def name_list(key: str, names) -> list[str]:
+    """``names`` if it is a non-empty list of distinct strings, else
+    ValueError naming ``key``."""
+    if (type(names) is not list or not names
+            or any(type(n) is not str for n in names) or len(set(names)) < len(names)):
+        raise ValueError(f"'{key}' must be a non-empty list of distinct strings")
+    return names
 
 
 @dataclass
@@ -249,12 +263,11 @@ def load_dataset(path) -> Dataset:
             baseline_names = header["baseline_names"]
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed header line") from exc
-        for key, names in (("feature_names", feature_names),
-                           ("baseline_names", baseline_names)):
-            if (type(names) is not list or not names
-                    or any(type(n) is not str for n in names) or len(set(names)) < len(names)):
-                raise ValueError(f"{path}: malformed header line: '{key}' must be "
-                                 "a non-empty list of distinct strings")
+        try:
+            name_list("feature_names", feature_names)
+            name_list("baseline_names", baseline_names)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed header line: {exc}") from None
         ds = Dataset(feature_names, baseline_names, [])
         seen: set[str] = set()
 

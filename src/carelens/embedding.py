@@ -14,11 +14,13 @@ term is exactly 1; larger beta forgets history faster.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .optim import uniform_init
+from .optim import ParamDecl, uniform_init
 
 GATES = ("z", "r", "h")
 DECAY_FLOOR = 0.01
@@ -26,20 +28,21 @@ DECAY_FLOOR = 0.01
 BETA_RAW_INIT = float(np.log(np.expm1(1.0 - DECAY_FLOOR)))
 
 
-def init_channel_params(store, n: int, d: int, rng: np.random.Generator) -> None:
+def init_channel_params(n: int, d: int,
+                        rng: np.random.Generator | None) -> Iterator[ParamDecl]:
     pre = f"channel{n}"
     for g in GATES:
-        store.add(f"{pre}.gru.W_{g}", uniform_init(rng, (d, 1), 1))
-        store.add(f"{pre}.gru.U_{g}", uniform_init(rng, (d, d), d))
-        store.add(f"{pre}.gru.b_{g}", np.zeros(d))
-    store.add(f"{pre}.attn.W_q", uniform_init(rng, (d, d), d))
-    store.add(f"{pre}.attn.W_k", uniform_init(rng, (d, d), d))
-    store.add(f"{pre}.attn.beta_raw", BETA_RAW_INIT)
+        yield f"{pre}.gru.W_{g}", (d, 1), uniform_init(rng, 1)
+        yield f"{pre}.gru.U_{g}", (d, d), uniform_init(rng, d)
+        yield f"{pre}.gru.b_{g}", (d,), np.zeros
+    yield f"{pre}.attn.W_q", (d, d), uniform_init(rng, d)
+    yield f"{pre}.attn.W_k", (d, d), uniform_init(rng, d)
+    yield f"{pre}.attn.beta_raw", (), lambda shape: np.full(shape, BETA_RAW_INIT)
 
 
-def init_baseline_params(store, d: int, n_baseline: int,
-                         rng: np.random.Generator) -> None:
-    store.add("baseline.W_emb", uniform_init(rng, (d, n_baseline), n_baseline))
+def init_baseline_params(d: int, n_baseline: int,
+                         rng: np.random.Generator | None) -> Iterator[ParamDecl]:
+    yield "baseline.W_emb", (d, n_baseline), uniform_init(rng, n_baseline)
 
 
 def channel_leaves(lv: dict[str, Var], n: int) -> dict[str, Var]:

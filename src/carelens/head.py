@@ -7,25 +7,27 @@ how much each dynamic feature contributes to the final summary.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .optim import uniform_init
+from .optim import ParamDecl, uniform_init
 
 PROB_CLAMP = 1e-7
 
 
-def init_head_params(store, d: int, n_features: int, rng: np.random.Generator,
-                     per_position_keys: bool = False) -> None:
-    store.add("head.W_q_base", uniform_init(rng, (d, d), d))
+def init_head_params(d: int, n_features: int, rng: np.random.Generator | None,
+                     per_position_keys: bool = False) -> Iterator[ParamDecl]:
+    yield "head.W_q_base", (d, d), uniform_init(rng, d)
     if per_position_keys:
         for i in range(n_features + 1):
-            store.add(f"head.W_k_{i}", uniform_init(rng, (d, d), d))
+            yield f"head.W_k_{i}", (d, d), uniform_init(rng, d)
     else:
-        store.add("head.W_k", uniform_init(rng, (d, d), d))
-    store.add("head.W_out", uniform_init(rng, (1, d), d))
-    store.add("head.b_out", np.zeros(1))
+        yield "head.W_k", (d, d), uniform_init(rng, d)
+    yield "head.W_out", (1, d), uniform_init(rng, d)
+    yield "head.b_out", (1,), np.zeros
 
 
 def final_attention(fstar: Var, lv: dict[str, Var],

@@ -21,7 +21,7 @@ import signal
 import threading
 from dataclasses import dataclass, asdict, field, replace
 from multiprocessing import parent_process
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -29,15 +29,18 @@ from . import autodiff as ad
 from .autodiff import Var
 from .context import LN_EPS, decorrelation_total, encode, init_encoder_params
 from .data import (Dataset, Normalization, PatientCase, _numbers, apply_normalization,
-                   typed)
+                   name_list, typed)
 from .embedding import (channel_leaves, decay_rate, embed_baseline_batch,
                         gru_forward_batch, init_baseline_params,
                         init_channel_params, time_aware_attention_batch)
 from .head import final_attention, init_head_params, predict
-from .optim import ParamStore
+from .optim import ParamDecl, ParamStore
 
 MODEL_FORMAT = "carelens-model"
 MODEL_VERSION = 1
+# the top-level keys of a model file
+MODEL_KEYS = ("format", "version", "config", "feature_names", "baseline_names",
+              "normalization", "params")
 # cases x longest visit count per inference chunk: 85 cases of 24 visits,
 # 128 of 16; it bounds the memory of one pass
 CHUNK_CELLS = 2048
@@ -76,16 +79,22 @@ class ModelConfig:
 CONFIG_TYPES = get_type_hints(ModelConfig)
 
 
+def param_layout(cfg: ModelConfig,
+                 rng: np.random.Generator | None = None) -> Iterator[ParamDecl]:
+    """Every parameter's (name, shape, init) in init order, lazily; each
+    ``init(shape)`` that draws, draws from ``rng``.  With no ``rng`` the
+    layout serves for its names and shapes, and no init may be called."""
+    for n in range(cfg.n_features):
+        yield from init_channel_params(n, cfg.d, rng)
+    yield from init_baseline_params(cfg.d, cfg.n_baseline, rng)
+    yield from init_encoder_params(cfg.d, cfg.heads, cfg.ffn_dim, rng)
+    yield from init_head_params(cfg.d, cfg.n_features, rng, cfg.per_position_keys)
+
+
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, cfg.d]))
-    store = ParamStore()
-    for n in range(cfg.n_features):
-        init_channel_params(store, n, cfg.d, rng)
-    init_baseline_params(store, cfg.d, cfg.n_baseline, rng)
-    init_encoder_params(store, cfg.d, cfg.heads, cfg.ffn_dim, rng)
-    init_head_params(store, cfg.d, cfg.n_features, rng, cfg.per_position_keys)
-    return store
+    return ParamStore((name, init(shape)) for name, shape, init in param_layout(cfg, rng))
 
 
 def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -385,46 +394,70 @@ def save_model(model: FittedModel, path) -> None:
         fh.write("\n")
 
 
+def _param_value(path, name: str, shape: tuple[int, ...], params: dict) -> np.ndarray:
+    """The file's weights of parameter ``name``, which must have ``shape``."""
+    if name not in params:
+        raise ValueError(f"{path}: missing parameter '{name}'")
+    entry = typed(f"{path}: parameter '{name}'", params[name], dict)
+    odd = sorted({"shape", "data"} ^ set(entry))
+    if odd:
+        raise ValueError(f"{path}: parameter '{name}' has "
+                         f"{'no' if odd[0] in ('shape', 'data') else 'unknown'} key '{odd[0]}'")
+    got = entry["shape"]
+    if (type(got) is not list or got != list(shape)
+            or any(type(n) is not int for n in got)):
+        raise ValueError(f"{path}: parameter '{name}' has shape {json.dumps(got)}, "
+                         f"the config needs {list(shape)}")
+    data = _numbers(entry["data"], True)
+    if data.dtype.kind != "f" or data.ndim != 1:
+        raise ValueError(f"{path}: parameter '{name}' must be a list of numbers")
+    try:
+        data = data.reshape(shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
+    return data
+
+
 def load_model(path) -> FittedModel:
-    """Rebuild a model bit-for-bit from its file, in init order (fresh Adam state)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Rebuild a model bit-for-bit from its file, in init order (fresh Adam state).
+
+    Each parameter of ``param_layout`` is checked against the file, name,
+    shape and data, before the store is built, so a file that does not fit
+    its config is refused before any weight is allocated for it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:     # not UTF-8, not JSON, too deep
+        raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if (type(doc) is not dict or doc.get("format") != MODEL_FORMAT
-            or doc.get("version") != MODEL_VERSION):
+            or doc.get("version") != MODEL_VERSION or type(doc["version"]) is not int):
         raise ValueError(f"{path}: not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-    for key in ("config", "feature_names", "baseline_names", "normalization", "params"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key '{key}'")
+    odd = sorted(set(MODEL_KEYS) ^ set(doc))
+    if odd:
+        raise ValueError(f"{path}: {'missing' if odd[0] in MODEL_KEYS else 'unknown'} "
+                         f"key '{odd[0]}'")
     odd = sorted(set(CONFIG_TYPES) ^ set(typed(f"{path}: 'config'", doc["config"], dict)))
     if odd:
         raise ValueError(f"{path}: model config has "
                          f"{'no' if odd[0] in CONFIG_TYPES else 'unknown'} key '{odd[0]}'")
     try:
         cfg = ModelConfig(**doc["config"])
-        store = init_params(cfg, 0)     # validates the config
+        cfg.validate()
+        for key, size in (("feature_names", cfg.n_features),
+                          ("baseline_names", cfg.n_baseline)):
+            if len(name_list(key, doc[key])) != size:
+                raise ValueError(f"'{key}' has {len(doc[key])} names, "
+                                 f"the config needs {size}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    params = doc["params"]
-    for name, e in store.items():
-        if name not in params:
-            raise ValueError(f"{path}: missing parameter '{name}'")
-        if list(params[name]["shape"]) != list(e.value.shape):
-            raise ValueError(f"{path}: parameter '{name}' has shape "
-                             f"{params[name]['shape']}, the config needs "
-                             f"{list(e.value.shape)}")
-    extra = sorted(set(params) - set(store.names()))
+    params = typed(f"{path}: 'params'", doc["params"], dict)
+    values = {name: _param_value(path, name, shape, params)
+              for name, shape, _ in param_layout(cfg)}
+    extra = sorted(set(params) - set(values))
     if extra:
         raise ValueError(f"{path}: unexpected parameter '{extra[0]}'")
-    for name, e in store.items():
-        data = _numbers(params[name]["data"], True)
-        if data.dtype.kind != "f":
-            raise ValueError(f"{path}: parameter '{name}' must be a list of numbers")
-        try:
-            e.value[...] = data.reshape(e.value.shape)
-        except ValueError as exc:
-            raise ValueError(f"{path}: parameter '{name}': {exc}") from exc
-        if not np.isfinite(e.value).all():
-            raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
     norm = None
     if doc["normalization"] is not None:
         try:
@@ -432,5 +465,5 @@ def load_model(path) -> FittedModel:
             norm.validate(cfg.n_features, cfg.n_baseline)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    return FittedModel(store, cfg, list(doc["feature_names"]),
-                       list(doc["baseline_names"]), norm)
+    return FittedModel(ParamStore(values.items()), cfg, doc["feature_names"],
+                       doc["baseline_names"], norm)

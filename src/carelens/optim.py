@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .autodiff import Var
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
-                 fan_in: int) -> np.ndarray:
-    """Draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+# one parameter's (name, shape, init): ``init(shape)`` makes its initial array
+ParamDecl = tuple[str, tuple[int, ...], Callable[[tuple[int, ...]], np.ndarray]]
+
+
+def uniform_init(rng: np.random.Generator | None,
+                 fan_in: int) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """An init that draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+    return lambda shape: rng.uniform(-bound, bound, shape)
 
 
 @dataclass
@@ -32,60 +35,41 @@ _FIELDS = ("value", "grad", "adam_m", "adam_v")
 class ParamStore:
     """All learnable weights, keyed by name, with uniform gradient access.
 
-    Values, gradients and both Adam moments each live in one contiguous
-    float64 buffer, in the order the names were added; every entry's
-    fields are views into those buffers, so whole-store updates are a few
-    numpy calls.  ``leaf(name)`` hands out a graph node whose gradient
-    buffer is shared with the store, so ``backward()`` accumulates straight
-    into it.  One Adam step count serves every entry, so no entry may be
-    added once ``adam_step`` has run.
+    Built once from (name, value) pairs.  Values, gradients and both Adam
+    moments each live in one contiguous float64 buffer, in the order of the
+    pairs; every entry's fields are views into those buffers, so whole-store
+    updates are a few numpy calls.  ``leaf(name)`` hands out a graph node
+    whose gradient buffer is shared with the store, so ``backward()``
+    accumulates straight into it.  One Adam step count serves every entry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
+        values: dict[str, np.ndarray] = {}
+        for name, value in pairs:
+            if name in values:
+                raise ValueError(f"duplicate parameter name '{name}'")
+            values[name] = np.asarray(value, dtype=np.float64)
+        size = sum(v.size for v in values.values())
+        self._bufs = {f: np.zeros(size) for f in _FIELDS}
         self._entries: dict[str, ParamEntry] = {}
-        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}  # offset, shape
-        self._size = 0
-        self._bufs = {f: np.zeros(0) for f in _FIELDS}
+        start = 0
+        for name, v in values.items():
+            e = ParamEntry(*(self._bufs[f][start:start + v.size].reshape(v.shape)
+                             for f in _FIELDS))
+            e.value[...] = v
+            self._entries[name] = e
+            start += v.size
         self.step_count = 0
-
-    def add(self, name: str, value) -> None:
-        if name in self._entries:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        if self.step_count:
-            raise ValueError(f"cannot add parameter '{name}' after "
-                             f"{self.step_count} Adam steps")
-        v = np.array(value, dtype=np.float64)
-        start, self._size = self._size, self._size + v.size
-        if self._size > self._bufs["value"].size:
-            # grow geometrically and re-point every entry at the new buffers
-            cap = max(2 * self._bufs["value"].size, self._size)
-            for f, old in self._bufs.items():
-                self._bufs[f] = np.zeros(cap)
-                self._bufs[f][:start] = old[:start]
-            for key, e in self._entries.items():
-                for f in _FIELDS:
-                    setattr(e, f, self._view(f, key))
-        self._slots[name] = (start, v.shape)
-        e = ParamEntry(*(self._view(f, name) for f in _FIELDS))
-        e.value[...] = v
-        self._entries[name] = e
-
-    def _view(self, field: str, name: str) -> np.ndarray:
-        start, shape = self._slots[name]
-        return self._bufs[field][start:start + math.prod(shape)].reshape(shape)
 
     def flat(self, field: str) -> np.ndarray:
         """The whole ``value``, ``grad``, ``adam_m`` or ``adam_v`` buffer."""
-        return self._bufs[field][:self._size]
+        return self._bufs[field]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
 
     def value(self, name: str) -> np.ndarray:
         return self._entries[name].value
@@ -105,16 +89,13 @@ class ParamStore:
     def zero_grad(self) -> None:
         self.flat("grad")[...] = 0.0
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """A copy of every value, as views into one flat copy."""
-        flat = self.flat("value").copy()
-        return {name: flat[start:start + math.prod(shape)].reshape(shape)
-                for name, (start, shape) in self._slots.items()}
+    def snapshot(self) -> np.ndarray:
+        """A flat copy of every value."""
+        return self.flat("value").copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        """Write back a snapshot that names every parameter."""
-        self.flat("value")[...] = np.concatenate(
-            [np.ravel(snap[name]) for name in self._entries])
+    def restore(self, snap: np.ndarray) -> None:
+        """Write back a ``snapshot``."""
+        self.flat("value")[...] = snap
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,

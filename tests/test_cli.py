@@ -6,11 +6,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carelens
 from carelens.cli import TRAIN_OPTS, TRAIN_TYPES, _resolve, build_parser, main
 from carelens.data import load_dataset
 from carelens.train import TrainConfig
@@ -56,6 +61,28 @@ def test_generate_writes_cohort_and_config(tmp_path, capsys):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["command"] == "generate"
     assert resolved["cases"] == 25 and resolved["seed"] == 3
+
+
+def run_module(*argv):
+    """``python -m carelens.cli *argv`` in a child process."""
+    src = str(Path(carelens.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "carelens.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # without a __main__ guard this exited 0 and wrote nothing
+    out = tmp_path / "gen"
+    done = run_module("generate", "--out", str(out), "--cases", "5")
+    assert done.returncode == 0, done.stderr
+    assert len(load_dataset(out / "dataset.jsonl")) == 5
+    done = run_module("generate", "--out", str(out), "--cases", "five")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    line, = done.stderr.splitlines()
+    assert "--cases" in json.loads(line)["error"]
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

@@ -14,10 +14,8 @@ from carelens.optim import ParamStore, grad_check
 
 
 def encoder_store(d, n_heads, d_ff=None, seed=0):
-    store = ParamStore()
-    ctx.init_encoder_params(store, d, n_heads, d_ff or 2 * d,
-                            np.random.default_rng(seed))
-    return store
+    layout = ctx.init_encoder_params(d, n_heads, d_ff or 2 * d, np.random.default_rng(seed))
+    return ParamStore((name, init(shape)) for name, shape, init in layout)
 
 
 def mha_oracle(features, heads):
@@ -235,8 +233,7 @@ def test_pooled_penalty_is_bitwise_the_two_dimensional_form(shape):
 
 
 def test_decorrelation_gradients():
-    store = ParamStore()
-    store.add("u", np.random.default_rng(17).normal(size=(4, 3)))
+    store = ParamStore([("u", np.random.default_rng(17).normal(size=(4, 3)))])
     errs = grad_check(lambda s: cov_penalty(s.leaf("u")), store,
                       h=1e-5)
     assert errs["u"] < 1e-6
@@ -281,9 +278,8 @@ def test_encode_returns_preprojection_concat():
 
 
 def test_encoder_rejects_indivisible_width():
-    store = ParamStore()
     try:
-        ctx.init_encoder_params(store, 6, 4, 12, np.random.default_rng(0))
+        next(ctx.init_encoder_params(6, 4, 12, np.random.default_rng(0)))
     except ValueError as exc:
         assert "divisible" in str(exc)
     else:

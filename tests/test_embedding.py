@@ -19,12 +19,10 @@ from carelens.optim import ParamStore, grad_check
 
 def channel_store(d, n_channels=1, seed=0, with_baseline=0):
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for n in range(n_channels):
-        emb.init_channel_params(store, n, d, rng)
+    layout = [decl for n in range(n_channels) for decl in emb.init_channel_params(n, d, rng)]
     if with_baseline:
-        emb.init_baseline_params(store, d, with_baseline, rng)
-    return store
+        layout += emb.init_baseline_params(d, with_baseline, rng)
+    return ParamStore((name, init(shape)) for name, shape, init in layout)
 
 
 def sigmoid(x):
@@ -79,7 +77,7 @@ def composed_gru_forward_batch(records, channels, keep=None):
 
 def test_gru_zero_parameters_give_zero_states():
     store = channel_store(d=5)
-    for name in store.names():
+    for name, _ in store.items():
         if ".gru." in name:
             store.value(name)[...] = 0.0
     hidden = emb.gru_forward_batch(np.array([[[1.0, -2.0, 3.5]]]),
@@ -578,7 +576,7 @@ def test_channels_have_independent_gradients():
     f_mat, _ = build_feature_matrix(case, lv, 3)
     store.zero_grad()
     ad.vsum(f_mat[1]).backward()  # depends on channel 1 and nothing else
-    for name in store.names():
+    for name, _ in store.items():
         g = store.leaf(name).grad
         if name.startswith("channel1."):
             assert np.abs(g).max() > 0.0

@@ -13,10 +13,9 @@ from carelens.optim import ParamStore, grad_check
 
 
 def head_store(d, n_features, per_position_keys=False, seed=0):
-    store = ParamStore()
-    head.init_head_params(store, d, n_features, np.random.default_rng(seed),
-                          per_position_keys)
-    return store
+    layout = head.init_head_params(d, n_features, np.random.default_rng(seed),
+                                   per_position_keys)
+    return ParamStore((name, init(shape)) for name, shape, init in layout)
 
 
 def final_oracle(fstar, wq, key_mats):

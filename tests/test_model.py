@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -55,18 +57,18 @@ def test_config_validation():
 def test_init_params_deterministic_per_seed():
     cfg = tiny_config()
     s1, s2 = init_params(cfg, 7), init_params(cfg, 7)
-    assert s1.names() == s2.names()
-    for name in s1.names():
+    assert [name for name, _ in s1.items()] == [name for name, _ in s2.items()]
+    for name, _ in s1.items():
         npt.assert_array_equal(s1.value(name), s2.value(name))
     s3 = init_params(cfg, 8)
     assert any(not np.array_equal(s1.value(n), s3.value(n))
-               for n in s1.names())
+               for n, _ in s1.items())
 
 
 def test_init_param_inventory():
     cfg = tiny_config(per_position_keys=True)
     store = init_params(cfg, 0)
-    names = set(store.names())
+    names = {name for name, _ in store.items()}
     assert "channel0.gru.W_z" in names and "channel2.attn.beta_raw" in names
     assert "baseline.W_emb" in names and "encoder.W_O" in names
     # one key matrix per feature row plus the baseline row
@@ -194,7 +196,7 @@ def test_fitted_model_round_trip_is_bitwise(tmp_path):
     loaded = load_model(path)
     assert loaded.config == cfg
     assert loaded.feature_names == ds.feature_names
-    for name in model.store.names():
+    for name, _ in model.store.items():
         npt.assert_array_equal(loaded.store.value(name),
                                model.store.value(name))
     s1, y1 = model.score(ds)
@@ -434,16 +436,148 @@ def test_load_model_takes_params_in_any_order_and_saves_them_in_init_order(tmp_p
     path, doc = _saved_model_doc(tmp_path)
     original = load_model(path)
     names = list(doc["params"])
-    assert names == original.store.names()
+    assert names == [name for name, _ in original.store.items()]
     doc["params"] = {name: doc["params"][name] for name in reversed(names)}
     shuffled = tmp_path / "shuffled.json"
     shuffled.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(shuffled)
-    assert loaded.store.names() == names
+    assert [name for name, _ in loaded.store.items()] == names
     assert np.array_equal(loaded.store.flat("value"), original.store.flat("value"))
     resaved = tmp_path / "resaved.json"
     save_model(loaded, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("d,per_position_keys,digest", [
+    (16, False, "7a7748b2904dbd62e8291dcfe7312c666b5fc1f87fb4e6239856727703569796"),
+    (16, True, "2d943cf5cd6a000bf2f5f941e4b944988a28d3cefb8169fa2c23e2e624431172"),
+    (32, False, "c5f9e18d25c3376390e50dbef010b3d46896ab7d3aad39dc05eede929c8797bb"),
+    (32, True, "2904358ff999173739dc592efcc3e74140a701799f66245631fb53e8ffe24ec1"),
+])
+def test_init_params_flat_values_are_pinned(d, per_position_keys, digest):
+    # the digests of the store that grew one parameter at a time
+    cfg = ModelConfig(n_features=4, n_baseline=3, d=d, heads=4,
+                      per_position_keys=per_position_keys)
+    flat = init_params(cfg, 11).flat("value")
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+
+
+def test_param_layout_is_the_store_of_init_params():
+    cfg = tiny_config(per_position_keys=True)
+    store = init_params(cfg, 2)
+    assert ([(name, shape) for name, shape, _ in model_mod.param_layout(cfg)]
+            == [(name, e.value.shape) for name, e in store.items()])
+
+
+def test_load_model_neither_inits_nor_draws(tmp_path, monkeypatch):
+    path, _ = _saved_model_doc(tmp_path)
+    want = load_model(path).store.flat("value")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("load_model drew initial weights")
+
+    monkeypatch.setattr(model_mod, "init_params", boom)
+    monkeypatch.setattr(np.random, "default_rng", boom)
+    assert np.array_equal(load_model(path).store.flat("value"), want)
+
+
+def _refuse_wide_config(tmp_path, d):
+    """A d=16 model file whose config says ``d``: load it, refuse it and
+    return the (error, best seconds of 3, tracemalloc peak in bytes)."""
+    path, doc = _saved_model_doc(tmp_path, d=16)
+    doc["config"]["d"] = d
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        seconds.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(err.value), min(seconds), peak
+
+
+@pytest.mark.parametrize("d", [256, 1024])
+def test_a_wide_config_is_refused_before_any_weight_is_allocated(tmp_path, d):
+    # the store used to draw every weight of the config before the check:
+    # +62 MB at d=256, +794 MB and 0.9 s at d=1024
+    why, seconds, peak = _refuse_wide_config(tmp_path, d)
+    assert why.endswith(f"parameter 'channel0.gru.W_z' has shape [16, 1], "
+                        f"the config needs [{d}, 1]")
+    assert peak < 8e6
+    assert seconds < 0.05
+
+
+@pytest.mark.parametrize("change,why", [
+    (lambda doc: doc.update(params=5), "'params' must be dict, got 5"),
+    (lambda doc: doc["params"].update({"channel0.gru.W_z": 5}),
+     "parameter 'channel0.gru.W_z' must be dict, got 5"),
+    (lambda doc: doc["params"]["head.W_out"].pop("shape"),
+     "parameter 'head.W_out' has no key 'shape'"),
+    (lambda doc: doc["params"]["head.W_out"].pop("data"),
+     "parameter 'head.W_out' has no key 'data'"),
+    (lambda doc: doc["params"]["head.W_out"].update(grad=[0.0]),
+     "parameter 'head.W_out' has unknown key 'grad'"),
+    (lambda doc: doc["params"]["head.W_out"].update(shape=7),
+     "parameter 'head.W_out' has shape 7, the config needs [1, 12]"),
+    (lambda doc: doc["params"]["head.W_out"].update(shape=[1, 12.0]),
+     "parameter 'head.W_out' has shape [1, 12.0], the config needs [1, 12]"),
+    (lambda doc: doc["params"]["head.W_out"].update(shape=[True, 12]),
+     "parameter 'head.W_out' has shape [true, 12], the config needs [1, 12]"),
+    (lambda doc: doc["params"]["head.b_out"].update(data=0.0),
+     "parameter 'head.b_out' must be a list of numbers"),
+    (lambda doc: doc["params"]["head.b_out"].update(data=[[0.0]]),
+     "parameter 'head.b_out' must be a list of numbers"),
+    (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+])
+def test_load_model_names_malformed_params(tmp_path, change, why):
+    # each of these used to raise a TypeError or KeyError naming no key
+    path, doc = _saved_model_doc(tmp_path)
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(why)}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key,names,why", [
+    ("feature_names", "ab", "must be a non-empty list of distinct strings"),
+    ("feature_names", [], "must be a non-empty list of distinct strings"),
+    ("baseline_names", ["a", 1, "b"], "must be a non-empty list of distinct strings"),
+    ("baseline_names", ["a", "a", "b"], "must be a non-empty list of distinct strings"),
+    ("baseline_names", None, "must be a non-empty list of distinct strings"),
+    ("feature_names", ["a"], "has 1 names, the config needs 4"),
+    ("baseline_names", ["a", "b", "c", "d"], "has 4 names, the config needs 3"),
+])
+def test_load_model_checks_the_name_lists(tmp_path, key, names, why):
+    # "ab" used to load as a, b, and ["a"] for a 4-feature config
+    path, doc = _saved_model_doc(tmp_path)
+    doc[key] = names
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: '{key}' {why}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text,why", [
+    (b'{"format": ', "not a JSON document"),
+    (b"[" * 100_000 + b"]" * 100_000, "not a JSON document"),
+    (b'{"format": "carelens-model\xff"}', "not a JSON document"),
+    (b'{"format": "carelens-model", "version": true}', "not a carelens-model v1 file"),
+    (b'{"format": "carelens-model", "version": 1.5}', "not a carelens-model v1 file"),
+])
+def test_load_model_refuses_a_file_that_is_no_model_by_name(tmp_path, text, why):
+    # the first three used to raise a JSONDecodeError, a RecursionError and a
+    # UnicodeDecodeError that named no file; "version": true passed this check
+    path = tmp_path / "model.json"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {why}"):
+        load_model(path)
+
 
 def test_score_rejects_mismatched_schema():
     ds, _ = generate_synthetic(SyntheticSpec(n_cases=6, seed=2))

@@ -15,16 +15,13 @@ from carelens.optim import ParamStore, adam_step, grad_check
 
 
 def make_store(**arrays):
-    store = ParamStore()
-    for name, value in arrays.items():
-        store.add(name, np.asarray(value, dtype=np.float64))
-    return store
+    return ParamStore(arrays.items())
 
 
 def test_store_rejects_duplicate_names():
-    store = make_store(w=[1.0])
-    with pytest.raises(ValueError, match="w"):
-        store.add("w", np.zeros(1))
+    pairs = [("w", [1.0]), ("v", [[2.0]]), ("w", np.zeros(1))]
+    with pytest.raises(ValueError, match="^duplicate parameter name 'w'$"):
+        ParamStore(pairs)
 
 
 def test_leaf_shares_gradient_buffer():
@@ -42,8 +39,7 @@ def test_adam_zero_gradient_leaves_values_unchanged():
     for _ in range(3):
         store.zero_grad()
         adam_step(store, lr=0.1)
-    for name in store.names():
-        npt.assert_array_equal(store.value(name), before[name])
+    npt.assert_array_equal(store.flat("value"), before)
 
 
 def test_adam_first_step_matches_closed_form():
@@ -91,13 +87,16 @@ def test_adam_rejects_nonfinite_gradient_by_name():
 
 
 def test_snapshot_restore_round_trip():
-    store = make_store(w=[1.0, 2.0])
+    store = make_store(w=[1.0, 2.0], b=[[0.5]])
     snap = store.snapshot()
-    store.leaf("w").grad[:] = [1.0, -1.0]
+    npt.assert_array_equal(snap, [1.0, 2.0, 0.5])
+    assert not np.shares_memory(snap, store.flat("value"))
+    store.flat("grad")[...] = [1.0, -1.0, 3.0]
     adam_step(store, lr=0.5)
-    assert not np.array_equal(store.value("w"), snap["w"])
+    assert not np.array_equal(store.flat("value"), snap)
     store.restore(snap)
     npt.assert_array_equal(store.value("w"), [1.0, 2.0])
+    npt.assert_array_equal(store.value("b"), [[0.5]])
 
 
 def test_grad_check_quadratic():
@@ -167,7 +166,7 @@ def full_model_store():
 
 
 def assert_stores_equal(a, b):
-    assert a.names() == b.names()
+    assert [name for name, _ in a.items()] == [name for name, _ in b.items()]
     for (name, e), (_, f) in zip(a.items(), b.items()):
         for field in ("value", "grad", "adam_m", "adam_v"):
             assert np.array_equal(getattr(e, field), getattr(f, field)), (name, field)
@@ -178,7 +177,7 @@ def test_flat_adam_is_bitwise_the_per_entry_loop_for_300_steps():
     flat, loop = full_model_store(), full_model_store()
     rng = np.random.default_rng(31)
     for step in range(300):
-        for name in flat.names():
+        for name, _ in flat.items():
             grad = flat.leaf(name).grad
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grad.shape)
             g[rng.random(g.shape) < 0.1] = 0.0
@@ -190,23 +189,11 @@ def test_flat_adam_is_bitwise_the_per_entry_loop_for_300_steps():
     assert_stores_equal(flat, loop)
 
 
-def test_add_after_an_adam_step_raises_and_names_the_parameter():
-    store = make_store(a=[1.0, -2.0])
-    store.add("b", [0.5])               # adds before the first step are fine
-    store.leaf("a").grad[...] = 0.3
-    adam_step(store, 0.1)
-    before = store.flat("value").copy()
-    with pytest.raises(ValueError, match="cannot add parameter 'c' after 1 Adam steps"):
-        store.add("c", [[0.5, 0.25]])
-    assert store.names() == ["a", "b"] and "c" not in store
-    assert np.array_equal(store.flat("value"), before)
-
-
 def test_nonfinite_gradient_leaves_every_buffer_untouched():
     store = full_model_store()
     store.leaf("encoder.W_O").grad[...] = 0.5
     adam_step(store, 0.1)
-    names = store.names()
+    names = [name for name, _ in store.items()]
     store.leaf(names[5]).grad[0] = np.inf
     store.leaf(names[-1]).grad[...] = np.nan
     before = {f: store.flat(f).copy() for f in ("value", "grad", "adam_m", "adam_v")}
@@ -219,25 +206,37 @@ def test_nonfinite_gradient_leaves_every_buffer_untouched():
 
 
 def test_entries_are_views_of_the_flat_buffers():
-    store = make_store(a=[1.0, 2.0])
-    (_, first), = store.items()
     rng = np.random.default_rng(4)
-    values = {"a": np.array([1.0, 2.0])}
-    for i in range(40):      # enough adds to regrow the buffers several times
-        values[f"w{i}"] = rng.normal(size=(i % 4 + 1, 3))
-        store.add(f"w{i}", values[f"w{i}"])
-    assert dict(store.items())["a"] is first
+    values = {"a": np.array([1.0, 2.0]), "s": np.array(0.75)}
+    values.update((f"w{i}", rng.normal(size=(i % 4 + 1, 3))) for i in range(40))
+    store = ParamStore(values.items())
+    assert [name for name, _ in store.items()] == list(values)
     for name, e in store.items():
         for field in ("value", "grad", "adam_m", "adam_v"):
             assert np.shares_memory(getattr(e, field), store.flat(field)), (name, field)
         npt.assert_array_equal(e.value, values[name])
-    assert store.flat("value").size == sum(v.size for v in values.values())
+        assert e.value.shape == values[name].shape
+    npt.assert_array_equal(store.flat("value"),
+                           np.concatenate([v.ravel() for v in values.values()]))
     leaf = store.leaf("w3")
     ad.vsum(leaf * 2.0).backward()
-    npt.assert_array_equal(store.flat("grad")[2:2 + values["w0"].size], 0.0)
+    npt.assert_array_equal(store.flat("grad")[3:3 + values["w0"].size], 0.0)
     npt.assert_array_equal(store.leaf("w3").grad, np.full((4, 3), 2.0))
     store.zero_grad()
     npt.assert_array_equal(store.flat("grad"), 0.0)
+
+
+def test_the_buffers_are_the_ones_the_constructor_made():
+    store = full_model_store()
+    bufs = {f: store.flat(f) for f in ("value", "grad", "adam_m", "adam_v")}
+    snap = store.snapshot()
+    store.flat("grad")[...] = 0.25
+    adam_step(store, 0.1)
+    store.zero_grad()
+    store.restore(snap)
+    for f, buf in bufs.items():
+        assert store.flat(f) is buf, f
+    assert not hasattr(store, "add")
 
 
 def test_save_then_load_gives_a_byte_identical_model_file(tmp_path):

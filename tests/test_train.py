@@ -50,7 +50,7 @@ def test_fit_is_bitwise_deterministic():
     m1 = fit(ds, train_ids, val_ids, quick_config())
     m2 = fit(ds, train_ids, val_ids, quick_config())
     assert m1.log == m2.log
-    for name in m1.store.names():
+    for name, _ in m1.store.items():
         npt.assert_array_equal(m1.store.value(name), m2.store.value(name))
     s1, _ = m1.score(ds)
     s2, _ = m2.score(ds)
@@ -76,7 +76,7 @@ def test_fit_seed_changes_model():
     m1 = fit(ds, train_ids, val_ids, quick_config(seed=0))
     m2 = fit(ds, train_ids, val_ids, quick_config(seed=1))
     assert any(not np.array_equal(m1.store.value(n), m2.store.value(n))
-               for n in m1.store.names())
+               for n, _ in m1.store.items())
 
 
 def test_log_rows_have_expected_fields():

@@ -48,8 +48,8 @@ TRAIN_TYPES = get_type_hints(TrainConfig)      # e.g. "d_ff": int | None
 EVAL_OPTS = {"bootstrap": 100, "seed": 0}
 EVAL_TYPES = {"bootstrap": int, "seed": int}
 
-CV_OPTS = dict(TRAIN_OPTS, k=10, workers=1)
-CV_TYPES = dict(TRAIN_TYPES, k=int, workers=int)
+CV_OPTS = dict(TRAIN_OPTS, k=10)
+CV_TYPES = dict(TRAIN_TYPES, k=int)
 
 INSPECT_OPTS = {"per_patient": False}
 INSPECT_TYPES = {"per_patient": bool}
@@ -183,10 +183,10 @@ def cmd_eval(args) -> int:
 
 def cmd_cv(args) -> int:
     given, opts = _resolve(args, CV_OPTS, CV_TYPES)
-    k, workers = opts.pop("k"), opts.pop("workers")
+    k = opts.pop("k")
     out = _out_dir(args)
     dataset = load_dataset(args.data)
-    report = cross_validate(dataset, k, TrainConfig(**opts), workers=workers)
+    report = cross_validate(dataset, k, TrainConfig(**opts))
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
         fh.write("\n")

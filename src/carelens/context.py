@@ -23,8 +23,6 @@ LN_EPS = 1e-5
 
 def init_encoder_params(d: int, n_heads: int, d_ff: int,
                         rng: np.random.Generator | None) -> Iterator[ParamDecl]:
-    if d % n_heads != 0:
-        raise ValueError(f"d={d} not divisible by heads={n_heads}")
     d_k = d // n_heads
     for m in range(n_heads):
         for w in ("W_q", "W_k", "W_v"):

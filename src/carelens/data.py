@@ -257,16 +257,15 @@ def load_dataset(path) -> Dataset:
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty dataset file")
-        try:
+        try:                          # not UTF-8 or JSON, too deep, not an object
             header = json.loads(first[1].decode())
-            feature_names = header["feature_names"]
-            baseline_names = header["baseline_names"]
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed header line") from exc
-        try:
-            name_list("feature_names", feature_names)
-            name_list("baseline_names", baseline_names)
-        except ValueError as exc:
+            if type(header) is not dict:
+                raise ValueError(f"got {type(header).__name__}, not an object")
+            feature_names = name_list("feature_names", header["feature_names"])
+            baseline_names = name_list("baseline_names", header["baseline_names"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: malformed header line: no key {exc}") from None
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: malformed header line: {exc}") from None
         ds = Dataset(feature_names, baseline_names, [])
         seen: set[str] = set()

@@ -8,7 +8,8 @@ covariance penalty something to work with.  Scoring and tracing sort the
 cases by visit count and run them in chunks of at most ``CHUNK_CELLS``
 padded (case, visit) cells, left-padded to the chunk's longest case with a
 keep-mask, and with no tape.  With two chunks or more for each CPU the
-process may use, forked children run a share of the chunks each.
+process may use, forked children run a share of the chunks each
+(``fork_map``, the package's one way to use several CPUs).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         for key, hint in CONFIG_TYPES.items():
-            typed(f"model config '{key}'", getattr(self, key), hint)
+            setattr(self, key, typed(f"model config '{key}'", getattr(self, key), hint))
         if min(self.n_features, self.n_baseline, self.d, self.heads) < 1:
             raise ValueError("model dimensions must be positive")
         if self.d % self.heads != 0:
@@ -182,64 +183,67 @@ def _chunk_plan(cases: list[PatientCase]) -> list[list[int]]:
     return plan
 
 
-def _inference_processes(n_chunks: int) -> int:
-    """How many processes share a plan of ``n_chunks``: one per CPU this
-    process may run on, as long as each gets at least two chunks.
+# True in a process that runs a share of a ``fork_map``, which forks no further
+_sharing = False
+
+
+def _processes(limit: int) -> int:
+    """How many processes may share a job: one per CPU this process may run
+    on, and at most ``limit``.
 
     1 (no fork) where ``os.fork`` or ``os.sched_getaffinity`` is missing,
     where other threads are alive (a fork copies only the calling one), and
-    in a ``multiprocessing`` child, such as a ``cv --workers`` fold, whose
-    siblings already use the other CPUs.
+    in a process whose siblings already use the other CPUs: one that runs a
+    share of a ``fork_map``, or a ``multiprocessing`` child.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    if threading.active_count() > 1 or parent_process() is not None:
+    if _sharing or threading.active_count() > 1 or parent_process() is not None:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_chunks // 2))
+    return max(1, min(len(os.sched_getaffinity(0)), limit))
 
 
 def _forward_chunks(store: ParamStore, cfg: ModelConfig,
                     cases: list[PatientCase], collect_trace: bool = False):
     """(positions, probabilities, trace) for each chunk of ``_chunk_plan``,
-    each run as one padded forward pass with no tape.
-
-    The chunks are dealt round-robin to this process and to a forked child
-    per extra process of ``_inference_processes``.  A chunk's outputs depend
-    only on its own cases and the weights, so they have the same bits in
-    whichever process runs them.
-    """
+    each run as one padded forward pass with no tape; ``fork_map`` shares
+    the chunks out, at least two to a process.  A chunk's outputs depend
+    only on its own cases and the weights."""
     lv = store.leaves()
 
-    def run(chunks):
-        out = []
-        for idx in chunks:
-            records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
-            with ad.no_grad():
-                prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
-                                               collect_trace, keep=keep)
-            out.append((idx, prob.data, trace))
-        return out
+    def run(idx):
+        records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
+        with ad.no_grad():
+            prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
+                                           collect_trace, keep=keep)
+        return idx, prob.data, trace
 
-    plan = _chunk_plan(cases)
-    procs = _inference_processes(len(plan))
-    if procs == 1:
-        return run(plan)
-    return _fork_join(run, [plan[k::procs] for k in range(procs)])
+    return fork_map(run, _chunk_plan(cases), 2)
 
 
-def _fork_join(run, shares: list):
-    """``run(shares[0])`` here and ``run(share)`` for each later share in a
-    forked child, concatenated in share order.
+def fork_map(fn, items: list, per_process: int = 1) -> list:
+    """``[fn(item) for item in items]``, the package's one way to use several
+    CPUs: the items are dealt round-robin to this process and to a forked
+    child per extra process of ``_processes``, at least ``per_process`` to
+    each, and every share runs with ``_sharing`` set.  Where ``fn(item)``
+    depends only on ``item`` and what the fork copied, its output has the
+    same bits in whichever process runs it.
 
     The children are always reaped, also when this raises.  Every read end
     is closed before the first ``waitpid``, so a child still writing gets
     ``BrokenPipeError`` and exits.  A child's exception is raised here with
     its type and message; a child killed by a signal raises RuntimeError.
     """
+    global _sharing
+    procs = _processes(len(items) // per_process)
+    if procs == 1:
+        return [fn(item) for item in items]
     children: list[tuple[int, int]] = []       # (pid, read end of its pipe)
     payloads = []
+    out = [None] * len(items)
+    _sharing = True
     try:
-        for share in shares[1:]:
+        for k in range(1, procs):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -251,34 +255,35 @@ def _fork_join(run, shares: list):
                 os.close(read_fd)
                 for _, fd in children:
                     os.close(fd)
-                _child(write_fd, run, share)     # never returns
+                _child(write_fd, fn, items[k::procs])     # never returns
             os.close(write_fd)
             children.append((pid, read_fd))
-        out = run(shares[0])
+        out[::procs] = [fn(item) for item in items[::procs]]
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     finally:
+        _sharing = False
         for _, fd in children:
             os.close(fd)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for (pid, _), status, payload in zip(children, statuses, payloads):
+    for k, ((pid, _), status, payload) in enumerate(zip(children, statuses, payloads), 1):
         if os.WIFSIGNALED(status):
-            raise RuntimeError(f"inference child {pid} was killed by "
+            raise RuntimeError(f"forked child {pid} was killed by "
                                f"{signal.Signals(os.WTERMSIG(status)).name}")
         if not payload:
-            raise RuntimeError(f"inference child {pid} exited with status "
+            raise RuntimeError(f"forked child {pid} exited with status "
                                f"{os.WEXITSTATUS(status)} and sent nothing")
         ok, value = pickle.loads(payload)
         if not ok:
             raise value
-        out += value
+        out[k::procs] = value
     return out
 
 
-def _child(write_fd: int, run, share) -> None:
-    """Run ``share`` in a forked child and pickle ``(True, outputs)`` or
-    ``(False, exception)`` into ``write_fd``.
+def _child(write_fd: int, fn, share: list) -> None:
+    """Run ``fn`` on each item of ``share`` in a forked child and pickle
+    ``(True, outputs)`` or ``(False, exception)`` into ``write_fd``.
 
     It leaves by ``os._exit``, so nothing the parent left pending (buffered
     output, ``atexit`` handlers, finalizers) runs a second time here; the
@@ -289,7 +294,7 @@ def _child(write_fd: int, run, share) -> None:
     try:
         gc.freeze()
         try:
-            outcome = (True, run(share))
+            outcome = (True, [fn(item) for item in share])
         except BaseException as exc:
             try:
                 pickle.loads(pickle.dumps(exc))

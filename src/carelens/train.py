@@ -8,7 +8,6 @@ models.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -16,7 +15,8 @@ import numpy as np
 from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
 from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
-from .model import FittedModel, ModelConfig, batch_tensors, forward_batch, init_params, score_cases
+from .model import (FittedModel, ModelConfig, batch_tensors, forward_batch, fork_map,
+                    init_params, score_cases)
 from .optim import adam_step
 
 
@@ -62,13 +62,14 @@ def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
         config: TrainConfig) -> FittedModel:
     """Train on raw data; returns the best-validation-AUPRC model."""
     config.validate()
+    cfg = config.model_config(dataset)
+    cfg.validate()
     if not train_ids or not val_ids:
         raise ValueError("train and validation splits must be non-empty")
     if set(train_ids) & set(val_ids):
         raise ValueError("train and validation splits overlap")
     norm = fit_normalization(dataset, train_ids)
     ds = apply_normalization(dataset, norm)
-    cfg = config.model_config(dataset)
     store = init_params(cfg, _derive_seed(config.seed, 1))
     val_cases = ds.subset(val_ids)
     val_labels = np.array([c.label for c in val_cases], dtype=np.int64)
@@ -144,38 +145,29 @@ def split_train_val(ids: list[str], labels: np.ndarray, val_fraction: float,
     return [ids[i] for i in train_idx], [ids[i] for i in val_idx]
 
 
-def _run_fold(args) -> dict[str, float]:
-    dataset, fold_idx, test_ids, rest_ids, config = args
-    try:
-        labels_by_id = {c.id: c.label for c in dataset.cases}
-        rest_labels = np.array([labels_by_id[i] for i in rest_ids])
-        train_ids, val_ids = split_train_val(
-            rest_ids, rest_labels, config.val_fraction,
-            _derive_seed(config.seed, 3, fold_idx))
-        model = fit(dataset, train_ids, val_ids, config)
-        scores, labels = model.score(dataset, test_ids)
-        return {name: fn(scores, labels) for name, fn in METRICS.items()}
-    except Exception as exc:
-        raise RuntimeError(f"fold {fold_idx}: {exc}") from exc
-
-
-def cross_validate(dataset: Dataset, k: int, config: TrainConfig,
-                   workers: int = 1) -> EvalReport:
+def cross_validate(dataset: Dataset, k: int, config: TrainConfig) -> EvalReport:
     """k-fold CV; each fold trains a fresh model on the remaining cases and
-    is scored on the held-out fold.  Fold metrics become the replicates."""
+    is scored on the held-out fold.  Fold metrics become the replicates.
+    The folds are shared out by ``fork_map``."""
     config.validate()
-    folds = split_folds(dataset, k, config.seed)
-    all_ids = dataset.ids()
-    jobs = []
-    for i, test_ids in enumerate(folds):
-        in_test = set(test_ids)
-        rest = [x for x in all_ids if x not in in_test]
-        jobs.append((dataset, i, test_ids, rest, config))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_fold, jobs))
-    else:
-        results = [_run_fold(job) for job in jobs]
+    config.model_config(dataset).validate()
+    labels_by_id = {c.id: c.label for c in dataset.cases}
+
+    def run_fold(fold: tuple[int, list[str]]) -> dict[str, float]:
+        fold_idx, test_ids = fold
+        try:
+            in_test = set(test_ids)
+            rest_ids = [x for x in dataset.ids() if x not in in_test]
+            train_ids, val_ids = split_train_val(
+                rest_ids, np.array([labels_by_id[i] for i in rest_ids]),
+                config.val_fraction, _derive_seed(config.seed, 3, fold_idx))
+            model = fit(dataset, train_ids, val_ids, config)
+            scores, labels = model.score(dataset, test_ids)
+            return {name: fn(scores, labels) for name, fn in METRICS.items()}
+        except Exception as exc:
+            raise RuntimeError(f"fold {fold_idx}: {exc}") from exc
+
+    results = fork_map(run_fold, list(enumerate(split_folds(dataset, k, config.seed))))
     replicates = {name: [r[name] for r in results] for name in METRICS}
     points = {name: float(np.mean(vals)) for name, vals in replicates.items()}
     return EvalReport.from_replicates(points, replicates)

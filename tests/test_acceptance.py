@@ -2,8 +2,9 @@
 oracles, planted-signal recovery on synthetic cohorts, and report plumbing.
 
 Each test is self-contained and states its own pass bar.  The slow studies
-(planted decay ordering and the time-awareness ablation) share one set of
-trained models through a module-scoped fixture.
+(planted decay ordering, the time-awareness ablation and the interaction
+study) take their per-seed runs from one module-scoped fixture, which shares
+them among the CPUs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from carelens.embedding import (effective_beta, time_aware_attention_batch,
                                 time_damped_scores)
 from carelens.head import cross_entropy, final_attention
 from carelens.metrics import auprc, auroc, bootstrap_eval, min_se_pplus
-from carelens.model import ModelConfig, batch_tensors, forward_batch, init_params
+from carelens.model import ModelConfig, batch_tensors, forward_batch, fork_map, init_params
 from carelens.optim import ParamStore
 from carelens.optim import grad_check
 from carelens.synthetic import SyntheticSpec, generate_synthetic
@@ -430,43 +431,46 @@ def _train_fixed_budget(ds, train_ids, cfg: ModelConfig, seed: int,
     return store
 
 
-@pytest.fixture(scope="module")
-def decay_study():
-    """Five seeds: train the full model and its time-blind twin on a cohort
-    whose first two features only matter through their latest value and whose
-    last two only matter through their stay-long average."""
+def _decay_seed(seed: int) -> dict:
+    """One seed of ``decay_study``: held-out AUROC of both models, and the
+    full model's learned decay rates."""
     from carelens.data import apply_normalization, fit_normalization
     from carelens.embedding import decay_rate
     from carelens.model import score_cases
 
-    results = []
-    for seed in STUDY_SEEDS:
-        spec = SyntheticSpec(n_cases=1000, n_features=4, n_baseline=3,
-                             decay_profile=["fast", "fast", "slow", "slow"],
-                             label_noise=0.1, seed=seed,
-                             tau_fast=6.0, tau_slow=2000.0, w_fast=2.0)
-        ds_raw, _ = generate_synthetic(spec)
-        ids = ds_raw.ids()
-        order = np.random.default_rng(
-            np.random.SeedSequence([seed, 77])).permutation(len(ids))
-        test_ids = [ids[i] for i in order[:200]]
-        train_ids = [ids[i] for i in order[360:]]
-        ds = apply_normalization(ds_raw, fit_normalization(ds_raw, train_ids))
-        test_cases = ds.subset(test_ids)
-        test_labels = np.array([c.label for c in test_cases], dtype=np.int64)
-        entry = {}
-        for ta in (True, False):
-            cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2,
-                              time_aware=ta)
-            store = _train_fixed_budget(ds, train_ids, cfg, seed, STUDY_EPOCHS)
-            scores = score_cases(store, cfg, test_cases)
-            entry["full" if ta else "ablated"] = auroc(scores, test_labels)
-            if ta:
-                betas = [float(decay_rate(store.value(f"channel{n}.attn.beta_raw")))
-                         for n in range(4)]
-                entry["fast"], entry["slow"] = betas[:2], betas[2:]
-        results.append(entry)
-    return results
+    spec = SyntheticSpec(n_cases=1000, n_features=4, n_baseline=3,
+                         decay_profile=["fast", "fast", "slow", "slow"],
+                         label_noise=0.1, seed=seed,
+                         tau_fast=6.0, tau_slow=2000.0, w_fast=2.0)
+    ds_raw, _ = generate_synthetic(spec)
+    ids = ds_raw.ids()
+    order = np.random.default_rng(
+        np.random.SeedSequence([seed, 77])).permutation(len(ids))
+    test_ids = [ids[i] for i in order[:200]]
+    train_ids = [ids[i] for i in order[360:]]
+    ds = apply_normalization(ds_raw, fit_normalization(ds_raw, train_ids))
+    test_cases = ds.subset(test_ids)
+    test_labels = np.array([c.label for c in test_cases], dtype=np.int64)
+    entry = {}
+    for ta in (True, False):
+        cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2,
+                          time_aware=ta)
+        store = _train_fixed_budget(ds, train_ids, cfg, seed, STUDY_EPOCHS)
+        scores = score_cases(store, cfg, test_cases)
+        entry["full" if ta else "ablated"] = auroc(scores, test_labels)
+        if ta:
+            betas = [float(decay_rate(store.value(f"channel{n}.attn.beta_raw")))
+                     for n in range(4)]
+            entry["fast"], entry["slow"] = betas[:2], betas[2:]
+    return entry
+
+
+@pytest.fixture(scope="module")
+def decay_study(seed_runs):
+    """Five seeds: train the full model and its time-blind twin on a cohort
+    whose first two features only matter through their latest value and whose
+    last two only matter through their stay-long average."""
+    return seed_runs["decay"]
 
 
 def test_acceptance_07_recovers_planted_decay_ordering(decay_study):
@@ -488,36 +492,49 @@ def test_acceptance_08_time_awareness_lifts_held_out_auroc(decay_study):
 # -- 9. interaction visibility ------------------------------------------------------
 
 
-def test_acceptance_09_planted_interaction_shows_in_baseline_attention():
-    """A feature whose label effect exists only when a baseline flag is set:
-    the trained encoder attends from that feature's row to the baseline row
-    more strongly for flag=1 cases than flag=0 cases in >= 4 of 5 seeds."""
+def _interaction_gap(seed: int) -> float:
+    """One seed of acceptance 09: the flag=1 minus flag=0 mean attention from
+    the interacting feature's row to the baseline row."""
     from carelens.data import apply_normalization, fit_normalization
     from carelens.model import FittedModel
 
-    wins = 0
-    gaps = []
-    for seed in STUDY_SEEDS:
-        spec = SyntheticSpec(n_cases=800, n_features=4, n_baseline=3,
-                             decay_profile=["fast", "fast", "slow", "slow"],
-                             interaction=[(0, 1)], w_int=5.0, w_fast=0.0,
-                             label_noise=0.1, seed=seed)
-        ds_raw, _ = generate_synthetic(spec)
-        ids = ds_raw.ids()
-        norm = fit_normalization(ds_raw, ids)
-        ds = apply_normalization(ds_raw, norm)
-        cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2)
-        store = _train_fixed_budget(ds, ids, cfg, seed, epochs=100)
-        model = FittedModel(store, cfg, list(ds_raw.feature_names),
-                            list(ds_raw.baseline_names), norm, [])
-        flag_of = {c.id: int(c.baseline[1]) for c in ds_raw.cases}
-        weight = {0: [], 1: []}
-        for tr in model.trace_cases(ds_raw):
-            weight[flag_of[tr["id"]]].append(float(tr["head_attn"][:, 0, -1].mean()))
-        gap = float(np.mean(weight[1]) - np.mean(weight[0]))
-        gaps.append(round(gap, 4))
-        wins += gap > 0
-    assert wins >= 4, f"flag1-minus-flag0 attention gaps: {gaps}"
+    spec = SyntheticSpec(n_cases=800, n_features=4, n_baseline=3,
+                         decay_profile=["fast", "fast", "slow", "slow"],
+                         interaction=[(0, 1)], w_int=5.0, w_fast=0.0,
+                         label_noise=0.1, seed=seed)
+    ds_raw, _ = generate_synthetic(spec)
+    ids = ds_raw.ids()
+    norm = fit_normalization(ds_raw, ids)
+    ds = apply_normalization(ds_raw, norm)
+    cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2)
+    store = _train_fixed_budget(ds, ids, cfg, seed, epochs=100)
+    model = FittedModel(store, cfg, list(ds_raw.feature_names),
+                        list(ds_raw.baseline_names), norm, [])
+    flag_of = {c.id: int(c.baseline[1]) for c in ds_raw.cases}
+    weight = {0: [], 1: []}
+    for tr in model.trace_cases(ds_raw):
+        weight[flag_of[tr["id"]]].append(float(tr["head_attn"][:, 0, -1].mean()))
+    return float(np.mean(weight[1]) - np.mean(weight[0]))
+
+
+@pytest.fixture(scope="module")
+def seed_runs():
+    """The per-seed runs of 07/08 and of 09, shared among the CPUs by one
+    ``fork_map``; each depends only on its seed.  The longer 09 runs come
+    first, so that the round-robin deal gives each process a like load."""
+    jobs = ([(_interaction_gap, seed) for seed in STUDY_SEEDS]
+            + [(_decay_seed, seed) for seed in STUDY_SEEDS])
+    out = fork_map(lambda job: job[0](job[1]), jobs)
+    return {"gaps": out[:len(STUDY_SEEDS)], "decay": out[len(STUDY_SEEDS):]}
+
+
+def test_acceptance_09_planted_interaction_shows_in_baseline_attention(seed_runs):
+    """A feature whose label effect exists only when a baseline flag is set:
+    the trained encoder attends from that feature's row to the baseline row
+    more strongly for flag=1 cases than flag=0 cases in >= 4 of 5 seeds."""
+    gaps = seed_runs["gaps"]
+    wins = sum(gap > 0 for gap in gaps)
+    assert wins >= 4, f"flag1-minus-flag0 attention gaps: {[round(g, 4) for g in gaps]}"
 
 
 # -- 10. protocol plumbing -----------------------------------------------------------

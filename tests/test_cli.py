@@ -357,7 +357,7 @@ def subparser(name):
 
 
 @pytest.mark.parametrize("command,extras", [("train", set()),
-                                            ("cv", {"k", "workers"})])
+                                            ("cv", {"k"})])
 def test_train_and_cv_flags_are_pinned_and_follow_train_config(command, extras):
     actions = subparser(command)._actions
     strings = {s for a in actions for s in a.option_strings}
@@ -374,7 +374,7 @@ OPTION_STRINGS = {
     "train": TRAIN_OPTION_STRINGS,
     "eval": {"-h", "--help", "--config", "--seed", "--out", "--model", "--data",
              "--bootstrap"},
-    "cv": TRAIN_OPTION_STRINGS | {"--k", "--workers"},
+    "cv": TRAIN_OPTION_STRINGS | {"--k"},
     "inspect": {"-h", "--help", "--config", "--seed", "--out", "--model", "--data",
                 "--filter", "--per-patient", "--no-per-patient"}}
 
@@ -506,8 +506,18 @@ def test_config_null_only_for_d_ff_and_cv_extras_are_checked(tmp_path, capsys):
     assert "config key 'd_ff' must be int | None" in msg
     msg = config_error(tmp_path, capsys, "cv", {"k": 2.5})
     assert "config key 'k' must be int" in msg
-    msg = config_error(tmp_path, capsys, "cv", {"workers": None})
-    assert "config key 'workers' must be int" in msg
+
+
+def test_cv_has_no_workers_option(tmp_path, capsys):
+    # cross-validation measures how many processes to use; a workers count
+    # is refused as a flag and in a config file
+    msg = config_error(tmp_path, capsys, "cv", {"workers": 2})
+    assert msg == "unknown config key 'workers'"
+    code, out, err = run(capsys, "cv", "--out", str(tmp_path / "y"), "--data",
+                         str(tmp_path / "data" / "dataset.jsonl"), "--workers", "2")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "unrecognized arguments: --workers 2"
 
 
 @pytest.mark.parametrize("values,why", [

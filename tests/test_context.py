@@ -10,6 +10,7 @@ import pytest
 
 from carelens import autodiff as ad
 from carelens import context as ctx
+from carelens.model import ModelConfig, init_params
 from carelens.optim import ParamStore, grad_check
 
 
@@ -278,12 +279,9 @@ def test_encode_returns_preprojection_concat():
 
 
 def test_encoder_rejects_indivisible_width():
-    try:
-        next(ctx.init_encoder_params(6, 4, 12, np.random.default_rng(0)))
-    except ValueError as exc:
-        assert "divisible" in str(exc)
-    else:
-        raise AssertionError("expected ValueError")
+    # the model config's check, which runs before any layer's layout
+    with pytest.raises(ValueError, match="^d=6 not divisible by heads=4$"):
+        init_params(ModelConfig(n_features=2, n_baseline=1, d=6, heads=4), 0)
 
 
 def test_encoder_gradients_match_finite_differences():

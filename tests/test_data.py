@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -186,6 +187,21 @@ def test_malformed_header_line_names_the_path(tmp_path):
     p.write_text("{not json\n" + json.dumps(case_line("p1", [0.0], [[1], [2]]))
                  + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="h.jsonl.*header"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("header,why", [
+    ('{"feature_names": ["hr", "bp"]}', "no key 'baseline_names'"),
+    ("{not json", "Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ("[1]", "got list, not an object")])
+def test_a_malformed_header_line_names_its_cause(tmp_path, header, why):
+    # each used to give the bare "malformed header line"
+    p = tmp_path / "h.jsonl"
+    p.write_text(header + "\n" + json.dumps(case_line("p1", [0.0], [[1], [2]])) + "\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: malformed header line: "
+                                         f"{re.escape(why)}$"):
         load_dataset(p)
 
 

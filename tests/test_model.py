@@ -333,6 +333,20 @@ def test_load_model_rejects_an_ln_eps_that_is_not_finite_and_positive(tmp_path, 
     assert load_model(path).config.ln_eps == 1
 
 
+@pytest.mark.parametrize("value", [1, 10 ** 300], ids=["1", "10**300"])
+def test_an_integer_ln_eps_loads_and_saves_as_its_float(tmp_path, value):
+    # "ln_eps": 1 used to load as the int 1 and save back as 1
+    path, doc = _saved_model_doc(tmp_path)
+    doc["config"]["ln_eps"] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    model = load_model(path)
+    assert type(model.config.ln_eps) is float and model.config.ln_eps == float(value)
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    assert f'"ln_eps": {float(value)!r}}}' in text
+    assert type(json.loads(text)["config"]["ln_eps"]) is float
+
+
 @pytest.mark.parametrize("key,value,why", [
     ("d", "4", "model config 'd' must be int, got \"4\""),
     ("d", 4.0, "model config 'd' must be int, got 4.0"),
@@ -808,7 +822,7 @@ def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatc
         return forward_batch(*args, **kw)
 
     # in one process, so that the spy sees every chunk
-    monkeypatch.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)
+    monkeypatch.setattr(model_mod, "_processes", lambda limit: 1)
     monkeypatch.setattr(model_mod, "forward_batch", spy)
     got = score_cases(store, cfg, cases)
     npt.assert_allclose(got, want, atol=1e-12, rtol=0)
@@ -877,7 +891,7 @@ def test_no_inference_chunk_computes_the_covariance_penalty(monkeypatch):
     monkeypatch.setattr(model_mod, "decorrelation_total", spy)
     monkeypatch.setattr(model_mod, "CHUNK_CELLS", 12)
     # a penalty computed in a forked child would not reach ``calls``
-    monkeypatch.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)
+    monkeypatch.setattr(model_mod, "_processes", lambda limit: 1)
     fitted = FittedModel(store, cfg, ["a", "b", "c"], ["x", "y"])
     ds = Dataset(["a", "b", "c"], ["x", "y"], cases)
     fitted.score(ds)

@@ -1,5 +1,5 @@
-"""Inference chunks shared among forked processes: the serial bits, and
-clean failures."""
+"""Work shared among forked processes by ``model.fork_map``: inference
+chunks with the serial bits, the process count, and clean failures."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import carelens.model as model_mod
-from carelens.model import FittedModel, ModelConfig, init_params
+from carelens.model import FittedModel, ModelConfig, fork_map, init_params
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -69,7 +69,7 @@ def test_forked_scores_and_traces_are_bitwise_the_serial_ones(monkeypatch, forks
     assert len({c.n_visits for c in ds.subset(ids)}) > 3
     assert len(model_mod._chunk_plan(ds.subset(ids))) >= 2 * cpus
     with monkeypatch.context() as m:
-        m.setattr(model_mod, "_inference_processes", lambda n_chunks: 1)
+        m.setattr(model_mod, "_processes", lambda limit: 1)
         want_scores, want_labels = model.score(ds, ids)
         want_traces = model.trace_cases(ds, ids)
     assert forks == []
@@ -158,11 +158,27 @@ def test_the_children_are_reaped_when_the_parent_raises(monkeypatch, forks):
     assert_no_child_left()
 
 
+def test_fork_map_deals_the_items_round_robin_and_keeps_their_order(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    out = fork_map(lambda i: (i, os.getpid()), list(range(10)))
+    assert [i for i, _ in out] == list(range(10))
+    pids = [pid for _, pid in out]
+    assert pids[0] == os.getpid()
+    assert len(set(pids[:4])) == 4 and pids[4:] == pids[:6]
+    assert_no_child_left()
+
+
 def test_inference_runs_in_one_process_where_forking_is_unsafe(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    processes = model_mod._inference_processes
-    # at least two chunks a process, at most one process a CPU
-    assert [processes(n) for n in (0, 1, 3, 4, 5, 7, 8, 100)] == [1, 1, 1, 2, 2, 3, 4, 4]
+    processes = model_mod._processes
+    # at most one process a CPU
+    assert [processes(n) for n in (0, 1, 3, 4, 100)] == [1, 1, 3, 4, 4]
+    # at least two chunks a process: the processes that ran a chunk
+    used = [len(set(fork_map(lambda i: os.getpid(), list(range(n)), 2)))
+            for n in (1, 3, 4, 5, 7, 8, 100)]
+    assert used == [1, 1, 2, 2, 3, 4, 4]
+    # a process that runs a share, the parent or a child, forks no further
+    assert fork_map(lambda i: processes(100), [0, 1, 2, 3]) == [1, 1, 1, 1]
     stop = threading.Event()
     worker = threading.Thread(target=stop.wait)
     worker.start()
@@ -171,7 +187,7 @@ def test_inference_runs_in_one_process_where_forking_is_unsafe(monkeypatch):
     finally:
         stop.set()
         worker.join()
-    with ProcessPoolExecutor(max_workers=1) as pool:     # as a cv --workers fold
+    with ProcessPoolExecutor(max_workers=1) as pool:     # a caller's own pool
         assert pool.submit(processes, 100).result() == 1
     assert processes(100) == 4
     monkeypatch.delattr(os, "fork")

@@ -219,3 +219,46 @@ def test_uncalled_check_sees_what_it_should():
     }
     assert uncalled(sources, ["ops.main"]) == [
         "ops.Box.mean", "ops.Box.unused", "ops.P.helper", "ops.exp", "ops.planted"]
+
+
+def process_starts(source: str) -> list[str]:
+    """What in ``source`` starts processes by a means of its own: a
+    reference to ``os.fork``, or an import from ``concurrent.futures`` or
+    ``multiprocessing`` of anything but ``multiprocessing.parent_process``."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name == "os.fork"
+                  or (name.split(".")[0] in ("concurrent", "multiprocessing")
+                      and name != "multiprocessing.parent_process")]
+    paths, _ = _bindings(tree, "module")
+    found += [(node.lineno, "os.fork") for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and _path(node, paths) == "os.fork"]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_model_py_starts_processes(path):
+    # model.fork_map is the package's one way to use several CPUs
+    if path.name != "model.py":
+        assert process_starts(path.read_text(encoding="utf-8")) == []
+
+
+def test_process_start_check_sees_what_it_should():
+    source = ("import os\nfrom os import fork as f\nimport multiprocessing\n"
+              "from multiprocessing import parent_process, Pool\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "from concurrent import futures\nimport concurrent.futures as cf\n"
+              "def g():\n    pid = os.fork()\n"
+              "    return pid, f, parent_process(), os.getpid()\n")
+    assert process_starts(source) == [
+        "line 2: os.fork", "line 3: multiprocessing", "line 4: multiprocessing.Pool",
+        "line 5: concurrent.futures.ProcessPoolExecutor", "line 6: concurrent.futures",
+        "line 7: concurrent.futures", "line 9: os.fork", "line 10: os.fork"]

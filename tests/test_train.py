@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import carelens.model as model_mod
+import carelens.train as train_module
 from carelens.model import ModelConfig
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 from carelens.train import (TrainConfig, cross_validate, fit, split_train_val)
@@ -213,12 +216,60 @@ def test_cross_validate_replicates_and_determinism():
         assert m.point == pytest.approx(np.mean(m.replicates))
 
 
-def test_cross_validate_parallel_matches_serial():
-    ds = toy_dataset(n=36, seed=12)
-    cfg = quick_config(max_epochs=1, batch_size=12)
-    serial = cross_validate(ds, k=3, config=cfg, workers=1)
-    parallel = cross_validate(ds, k=3, config=cfg, workers=2)
-    assert serial.to_json() == parallel.to_json()
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` lets this process run on ``n`` CPUs and returns the list
+    that gains an entry for each fork this process makes."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+
+    def allow(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return forks
+    return allow
+
+
+def test_cross_validate_parallel_matches_serial(cpus):
+    # the folds in one process or dealt to two: the same report, pinned
+    ds, _ = generate_synthetic(SyntheticSpec(n_cases=240, seed=7))
+    cfg = TrainConfig(max_epochs=2, d=8, heads=2, batch_size=32, seed=5)
+    digests = []
+    for n in (1, 2):
+        forks = cpus(n)
+        report = cross_validate(ds, k=4, config=cfg)
+        digests.append(hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest())
+    assert forks == [1]
+    assert digests == ["5724810b924d87923e896f8f65a0a27b"
+                       "9021bd7577f12712fb0237025d4d0874"] * 2
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_a_cv_run_forks_once_for_each_extra_process(cpus, monkeypatch, n_cpus):
+    # chunks of 24 cells: each fold's validation and test scoring would
+    # fork too, were a process that runs a share of the folds let to
+    monkeypatch.setattr(model_mod, "CHUNK_CELLS", 24)
+    forks = cpus(n_cpus)
+    cross_validate(toy_dataset(n=60, seed=16), k=3, config=quick_config(max_epochs=2))
+    assert len(forks) == n_cpus - 1
+
+
+@pytest.mark.parametrize("bad,why", [
+    (dict(d=16, heads=3), "d=16 not divisible by heads=3"),
+    (dict(d=16.0), "model config 'd' must be int, got 16.0")])
+def test_a_bad_model_config_fails_before_any_fold_or_normalization(cpus, monkeypatch,
+                                                                   bad, why):
+    # it used to fail inside a fold, as "fold 0: d=16 not divisible ..."
+    forks = cpus(2)
+    normalized = []
+    monkeypatch.setattr(train_module, "fit_normalization",
+                        lambda *args: normalized.append(args))
+    ds = toy_dataset(n=24, seed=17)
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        cross_validate(ds, k=2, config=quick_config(**bad))
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        fit(ds, ds.ids()[6:], ds.ids()[:6], quick_config(**bad))
+    assert forks == [] and normalized == []
 
 
 def test_cross_validate_fold_errors_name_the_fold():
@@ -234,12 +285,27 @@ def test_cross_validate_fold_errors_name_the_fold():
         cross_validate(ds, k=2, config=cfg)
 
 
-def test_cross_validate_parallel_fold_errors_name_the_fold():
+def test_cross_validate_parallel_fold_errors_name_the_fold(cpus, monkeypatch):
     # one positive case: whichever side of a fold's split it lands on, the
-    # validation split or the test fold lacks a class, so every fold fails
+    # validation split or the test fold lacks a class, so every fold fails,
+    # in one process and in two
     ds = toy_dataset(n=12, seed=15)
     for c in ds.cases:
         c.label = 0
     ds.cases[0].label = 1
-    with pytest.raises(RuntimeError, match=r"^fold \d+: "):
-        cross_validate(ds, k=3, config=quick_config(max_epochs=1), workers=2)
+    for n in (1, 2):
+        forks = cpus(n)
+        with pytest.raises(RuntimeError, match=r"^fold \d+: "):
+            cross_validate(ds, k=3, config=quick_config(max_epochs=1))
+    # a fold that fails in a forked child only
+    parent, real_fit = os.getpid(), train_module.fit
+
+    def fit_failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("the child's fold failed")
+        return real_fit(*args)
+
+    monkeypatch.setattr(train_module, "fit", fit_failing_in_a_child)
+    with pytest.raises(RuntimeError, match="^fold 1: the child's fold failed$"):
+        cross_validate(toy_dataset(n=36, seed=12), k=3, config=quick_config(max_epochs=1))
+    assert len(forks) == 2

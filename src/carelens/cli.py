@@ -65,8 +65,11 @@ def _resolve(args, defaults: dict, types: dict) -> tuple[dict, dict]:
     value is checked against its type."""
     opts = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            filecfg = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                filecfg = json.load(fh)
+        except (ValueError, RecursionError) as exc:     # not UTF-8, not JSON, too deep
+            raise CliError(f"{args.config}: not a JSON document: {exc}") from None
         if type(filecfg) is not dict:
             raise CliError("a config file must hold one JSON object")
         unknown = sorted(set(filecfg) - set(defaults))

@@ -136,8 +136,9 @@ class Normalization:
 
     @staticmethod
     def from_json(d: dict) -> "Normalization":
-        """Raise ValueError naming a field that is missing or not a list of
-        JSON numbers, or a ``baseline_is_flag`` entry that is not 0 or 1."""
+        """Raise ValueError naming a field that is missing, unknown or not a
+        list of JSON numbers, or a ``baseline_is_flag`` entry that is not 0
+        or 1."""
         arrays = {}
         for name in ("feature_mean", "feature_std", "baseline_mean",
                      "baseline_std", "baseline_is_flag"):
@@ -146,6 +147,9 @@ class Normalization:
             arrays[name] = _numbers(d[name], True)
             if arrays[name].dtype.kind != "f":
                 raise ValueError(f"normalization '{name}' must be a list of numbers")
+        unknown = sorted(set(d) - set(arrays))
+        if unknown:
+            raise ValueError(f"normalization has unknown field '{unknown[0]}'")
         if not np.isin(arrays["baseline_is_flag"], (0.0, 1.0)).all():
             raise ValueError("normalization 'baseline_is_flag' entries must be 0 or 1")
         arrays["baseline_is_flag"] = arrays["baseline_is_flag"].astype(bool)

@@ -2,14 +2,13 @@
 
 A forward pass stacks, for each case, the N per-feature attention summaries
 plus the baseline embedding into an (N+1) x d matrix, re-encodes it with the
-context block, and scores it with the baseline-queried head.  Training
-batches share an identical visit count; batching is what gives the
-covariance penalty something to work with.  Scoring and tracing sort the
-cases by visit count and run them in chunks of at most ``CHUNK_CELLS``
-padded (case, visit) cells, left-padded to the chunk's longest case with a
-keep-mask, and with no tape.  With two chunks or more for each CPU the
-process may use, forked children run a share of the chunks each
-(``fork_map``, the package's one way to use several CPUs).
+context block, and scores it with the baseline-queried head.  Every batch,
+in training and in inference, is stacked by ``pad_cases``; batching is
+what gives the covariance penalty something to work with.  Scoring and
+tracing sort the cases by visit count and run them in chunks of at most
+``CHUNK_CELLS`` padded (case, visit) cells, with no tape.  With two chunks
+or more for each CPU the process may use, forked children run a share of
+the chunks each (``fork_map``, the package's one way to use several CPUs).
 """
 
 from __future__ import annotations
@@ -119,15 +118,6 @@ def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndar
     baseline = np.stack([c.baseline for c in cases])
     labels = np.array([c.label for c in cases], dtype=np.float64)
     return records, delta, baseline, labels, None if keep.all() else keep
-
-
-def batch_tensors(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray, np.ndarray]:
-    """Stack same-length cases into (B,N,T) records, (B,T) hours-back deltas,
-    (B,S) baselines, and (B,) labels."""
-    if any(c.n_visits != cases[0].n_visits for c in cases):
-        raise ValueError("cases in a batch must share the same visit count")
-    return pad_cases(cases)[:4]
 
 
 def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,

@@ -1,4 +1,4 @@
-"""Training loop (Adam, early stopping on validation AUPRC) and k-fold CV.
+"""The training loop (``train_epoch``), early stopping (``fit``) and k-fold CV.
 
 ``fit`` takes a *raw* dataset: it computes z-score statistics from the
 training ids only, carries them inside the returned model, and applies them
@@ -15,9 +15,9 @@ import numpy as np
 from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
 from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
-from .model import (FittedModel, ModelConfig, batch_tensors, forward_batch, fork_map,
-                    init_params, score_cases)
-from .optim import adam_step
+from .model import (FittedModel, ModelConfig, forward_batch, fork_map, init_params,
+                    pad_cases, score_cases)
+from .optim import ParamStore, adam_step
 
 
 @dataclass
@@ -58,6 +58,33 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
+                config: TrainConfig, epoch: int) -> dict[str, float]:
+    """One epoch of Adam steps on ``ids`` of a normalized dataset, batched by
+    ``make_batches`` for the config's seed and ``epoch``: the one training
+    loop.  Returns the case-weighted mean ``train_loss`` and ``train_ce``."""
+    cfg = config.model_config(dataset)
+    loss_sum = ce_sum = 0.0
+    seen = 0
+    batches = make_batches(dataset, ids, config.batch_size,
+                           _derive_seed(config.seed, 2, epoch))
+    for b_idx, batch in enumerate(batches):
+        records, delta, baseline, labels, keep = pad_cases(batch)
+        store.zero_grad()
+        prob, decorr, _ = forward_batch(store.leaves(), records, delta, baseline, cfg,
+                                        keep=keep)
+        ce = cross_entropy(prob, labels)
+        loss = ce + config.lambda_decorr * decorr
+        if not np.isfinite(loss.data):
+            raise RuntimeError(f"non-finite loss at epoch {epoch} batch {b_idx}")
+        loss.backward()
+        adam_step(store, config.lr)
+        loss_sum += float(loss.data) * len(batch)
+        ce_sum += float(ce.data) * len(batch)
+        seen += len(batch)
+    return {"train_loss": loss_sum / seen, "train_ce": ce_sum / seen}
+
+
 def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
         config: TrainConfig) -> FittedModel:
     """Train on raw data; returns the best-validation-AUPRC model."""
@@ -83,29 +110,9 @@ def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
     best_snap = store.snapshot()
     stale = 0
     for epoch in range(config.max_epochs):
-        batches = make_batches(ds, train_ids, config.batch_size,
-                               _derive_seed(config.seed, 2, epoch))
-        loss_sum = ce_sum = 0.0
-        seen = 0
-        for b_idx, batch in enumerate(batches):
-            records, delta, baseline, labels = batch_tensors(batch)
-            store.zero_grad()
-            lv = store.leaves()
-            prob, decorr, _ = forward_batch(lv, records, delta, baseline, cfg)
-            ce = cross_entropy(prob, labels)
-            loss = ce + config.lambda_decorr * decorr
-            if not np.isfinite(loss.data):
-                raise RuntimeError(f"non-finite loss at epoch {epoch} "
-                                   f"batch {b_idx}")
-            loss.backward()
-            adam_step(store, config.lr)
-            loss_sum += float(loss.data) * len(batch)
-            ce_sum += float(ce.data) * len(batch)
-            seen += len(batch)
+        losses = train_epoch(store, ds, train_ids, config, epoch)
         val_scores = score_cases(store, cfg, val_cases)
-        entry = {"epoch": epoch,
-                 "train_loss": loss_sum / seen,
-                 "train_ce": ce_sum / seen,
+        entry = {"epoch": epoch, **losses,
                  "val_auprc": auprc(val_scores, val_labels),
                  "val_auroc": auroc(val_scores, val_labels)}
         log.append(entry)

@@ -20,16 +20,17 @@ import pytest
 import carelens.autodiff as ad
 from carelens.autodiff import Var
 from carelens.context import decorrelation_total, multi_head_attention
-from carelens.data import PatientCase
+from carelens.data import PatientCase, apply_normalization, fit_normalization
 from carelens.embedding import (effective_beta, time_aware_attention_batch,
                                 time_damped_scores)
 from carelens.head import cross_entropy, final_attention
 from carelens.metrics import auprc, auroc, bootstrap_eval, min_se_pplus
-from carelens.model import ModelConfig, batch_tensors, forward_batch, fork_map, init_params
+from carelens.model import ModelConfig, forward_batch, fork_map, init_params, pad_cases
 from carelens.optim import ParamStore
 from carelens.optim import grad_check
 from carelens.synthetic import SyntheticSpec, generate_synthetic
-from carelens.train import TrainConfig, cross_validate, fit, split_train_val
+from carelens.train import (TrainConfig, _derive_seed, cross_validate, fit,
+                            split_train_val, train_epoch)
 
 DECAY_FLOOR = 0.01
 
@@ -61,7 +62,7 @@ def test_acceptance_01_every_parameter_passes_end_to_end_grad_check():
                                  timestamps=ts,
                                  records=rng.normal(size=(3, 4)),
                                  label=i % 2))
-    records, delta, baseline, labels = batch_tensors(cases)
+    records, delta, baseline, labels, _ = pad_cases(cases)
 
     def loss(s: ParamStore) -> Var:
         prob, decorr, _ = forward_batch(s.leaves(), records, delta, baseline, cfg)
@@ -363,31 +364,17 @@ def test_acceptance_05_metrics_equal_brute_force_on_all_small_sets():
 
 def _overfit_trajectory(seed: int) -> list[float]:
     """Train on 32 cases until the epoch cross-entropy drops below 0.05."""
-    from carelens.data import apply_normalization, fit_normalization, make_batches
-    from carelens.optim import adam_step
-    from carelens.train import _derive_seed
-
     spec = SyntheticSpec(n_cases=32, n_features=4, n_baseline=3,
                          decay_profile=["fast", "fast", "slow", "slow"],
                          label_noise=0.0, seed=seed)
     ds_raw, _ = generate_synthetic(spec)
     ids = ds_raw.ids()
     ds = apply_normalization(ds_raw, fit_normalization(ds_raw, ids))
-    cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2)
-    store = init_params(cfg, _derive_seed(seed, 1))
+    config = TrainConfig(d=16, heads=2, lr=1e-2, batch_size=16, seed=seed)
+    store = init_params(config.model_config(ds), _derive_seed(seed, 1))
     trajectory = []
     for epoch in range(500):
-        ce_sum = 0.0
-        for batch in make_batches(ds, ids, 16, _derive_seed(seed, 2, epoch)):
-            records, delta, baseline, labels = batch_tensors(batch)
-            store.zero_grad()
-            prob, decorr, _ = forward_batch(store.leaves(), records, delta,
-                                            baseline, cfg)
-            ce = cross_entropy(prob, labels)
-            (ce + 1.0 * decorr).backward()
-            adam_step(store, 1e-2)
-            ce_sum += float(ce.data) * len(batch)
-        trajectory.append(ce_sum / len(ids))
+        trajectory.append(train_epoch(store, ds, ids, config, epoch)["train_ce"])
         if trajectory[-1] < 0.05:
             break
     return trajectory
@@ -407,34 +394,22 @@ def test_acceptance_06_overfits_32_patients_deterministically():
 
 STUDY_SEEDS = (0, 1, 2, 3, 4)
 STUDY_EPOCHS = 40
+# the model and optimiser of 07, 08 and 09
+STUDY_CONFIG = dict(d=16, heads=2, lr=1e-2, batch_size=64)
 
 
-def _train_fixed_budget(ds, train_ids, cfg: ModelConfig, seed: int,
-                        epochs: int, lr: float = 1e-2,
-                        batch_size: int = 64) -> ParamStore:
-    """Fixed-budget training (no early stop, no checkpoint restore), so the
-    returned parameters are the end-of-training state."""
-    from carelens.data import make_batches
-    from carelens.optim import adam_step
-    from carelens.train import _derive_seed
-
-    store = init_params(cfg, _derive_seed(seed, 1))
-    for epoch in range(epochs):
-        for batch in make_batches(ds, train_ids, batch_size,
-                                  _derive_seed(seed, 2, epoch)):
-            records, delta, baseline, labels = batch_tensors(batch)
-            store.zero_grad()
-            prob, decorr, _ = forward_batch(store.leaves(), records, delta,
-                                            baseline, cfg)
-            (cross_entropy(prob, labels) + decorr).backward()
-            adam_step(store, lr)
+def _train_fixed_budget(ds, train_ids, config: TrainConfig) -> ParamStore:
+    """All ``config.max_epochs`` epochs (no early stop, no checkpoint
+    restore), so the returned parameters are the end-of-training state."""
+    store = init_params(config.model_config(ds), _derive_seed(config.seed, 1))
+    for epoch in range(config.max_epochs):
+        train_epoch(store, ds, train_ids, config, epoch)
     return store
 
 
 def _decay_seed(seed: int) -> dict:
     """One seed of ``decay_study``: held-out AUROC of both models, and the
     full model's learned decay rates."""
-    from carelens.data import apply_normalization, fit_normalization
     from carelens.embedding import decay_rate
     from carelens.model import score_cases
 
@@ -453,10 +428,10 @@ def _decay_seed(seed: int) -> dict:
     test_labels = np.array([c.label for c in test_cases], dtype=np.int64)
     entry = {}
     for ta in (True, False):
-        cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2,
-                          time_aware=ta)
-        store = _train_fixed_budget(ds, train_ids, cfg, seed, STUDY_EPOCHS)
-        scores = score_cases(store, cfg, test_cases)
+        config = TrainConfig(time_aware=ta, max_epochs=STUDY_EPOCHS, seed=seed,
+                             **STUDY_CONFIG)
+        store = _train_fixed_budget(ds, train_ids, config)
+        scores = score_cases(store, config.model_config(ds), test_cases)
         entry["full" if ta else "ablated"] = auroc(scores, test_labels)
         if ta:
             betas = [float(decay_rate(store.value(f"channel{n}.attn.beta_raw")))
@@ -495,7 +470,6 @@ def test_acceptance_08_time_awareness_lifts_held_out_auroc(decay_study):
 def _interaction_gap(seed: int) -> float:
     """One seed of acceptance 09: the flag=1 minus flag=0 mean attention from
     the interacting feature's row to the baseline row."""
-    from carelens.data import apply_normalization, fit_normalization
     from carelens.model import FittedModel
 
     spec = SyntheticSpec(n_cases=800, n_features=4, n_baseline=3,
@@ -506,9 +480,9 @@ def _interaction_gap(seed: int) -> float:
     ids = ds_raw.ids()
     norm = fit_normalization(ds_raw, ids)
     ds = apply_normalization(ds_raw, norm)
-    cfg = ModelConfig(n_features=4, n_baseline=3, d=16, heads=2)
-    store = _train_fixed_budget(ds, ids, cfg, seed, epochs=100)
-    model = FittedModel(store, cfg, list(ds_raw.feature_names),
+    config = TrainConfig(max_epochs=100, seed=seed, **STUDY_CONFIG)
+    store = _train_fixed_budget(ds, ids, config)
+    model = FittedModel(store, config.model_config(ds), list(ds_raw.feature_names),
                         list(ds_raw.baseline_names), norm, [])
     flag_of = {c.id: int(c.baseline[1]) for c in ds_raw.cases}
     weight = {0: [], 1: []}

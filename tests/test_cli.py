@@ -455,9 +455,10 @@ def test_resolved_config_bytes_are_unchanged(tmp_path, capsys):
 
 
 def config_error(tmp_path, capsys, command, values):
-    """Run ``command`` with ``values`` as its config file; the one-line JSON
-    error of a usage failure.  ``eval`` and ``inspect`` are given no model
-    file, so their check must come before any file is read."""
+    """Run ``command`` with ``values`` as its config file (bytes: the file's
+    bytes); the one-line JSON error of a usage failure.  ``eval`` and
+    ``inspect`` are given no model file, so their check must come before any
+    file is read."""
     inputs = ()
     if command != "generate":
         data = gen_dir(tmp_path, capsys, cases=20)
@@ -465,7 +466,7 @@ def config_error(tmp_path, capsys, command, values):
     if command in ("eval", "inspect"):
         inputs += ("--model", str(tmp_path / "missing.json"))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values), encoding="utf-8")
+    cfg.write_bytes(values if type(values) is bytes else json.dumps(values).encode())
     code, out, err = run(capsys, command, "--out", str(tmp_path / "x"),
                          "--config", str(cfg), *inputs)
     assert code == 2, (out, err)
@@ -479,6 +480,16 @@ def test_a_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, capsys
     # report the unknown key 'a'
     msg = config_error(tmp_path, capsys, "generate", values)
     assert msg == "a config file must hold one JSON object"
+
+
+@pytest.mark.parametrize("command,raw", [
+    ("eval", b"{nope"), ("generate", b"{nope"), ("generate", b'{"seed": 1}\xff'),
+    ("generate", b"[" * 100_000 + b"]" * 100_000)])
+def test_a_config_file_that_is_not_json_is_usage_error_naming_it(tmp_path, capsys,
+                                                                 command, raw):
+    # {nope used to exit 1 with a JSONDecodeError that named no file
+    msg = config_error(tmp_path, capsys, command, raw)
+    assert msg.startswith(f"{tmp_path / 'cfg.json'}: not a JSON document: "), msg
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1.0, None])

@@ -2,11 +2,13 @@
 
 Each example changes one value of a valid model file or cohort: a type
 swap, a deleted key, ``NaN``/``Infinity``, a huge integer, deep nesting or
-bad bytes.  A model file must then load or be refused by a ValueError that
-names the file; a cohort must load, with each case line either loaded or
-recorded in ``rejects`` under its case or line, or be refused by a
-ValueError that names the file or the case.  No other exception may
-escape.  What loads must save back to what was read.
+bad bytes; or it inserts an unknown key into an object of a model file.
+A model file must then load or be refused by a ValueError that names the
+file, and one with an unknown key must be refused; a cohort must load,
+with each case line either loaded or recorded in ``rejects`` under its
+case or line, or be refused by a ValueError that names the file or the
+case.  No other exception may escape.  What loads must save back to what
+was read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from carelens.data import (Dataset, DatasetFormatError, PatientCase, fit_normalization,
                            load_dataset, save_dataset)
@@ -111,6 +113,8 @@ def _model() -> FittedModel:
 
 MODEL_DOC = json.loads(_saved(_model(), save_model))
 MODEL_PATHS = key_paths(MODEL_DOC)
+UNKNOWN = "extra_field"         # a key that no object of a model file has
+INSERTS = [p + (UNKNOWN,) for p in MODEL_PATHS if type(at(MODEL_DOC, p)) is dict]
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +126,17 @@ def workdir(tmp_path_factory):
 @given(key=st.one_of(st.sampled_from(MODEL_PATHS),
                      # config values and shapes are drawn more often than the rest
                      st.sampled_from([p for p in MODEL_PATHS if p[:1] == ("config",)]),
-                     st.sampled_from([p for p in MODEL_PATHS if "shape" in p])),
+                     st.sampled_from([p for p in MODEL_PATHS if "shape" in p]),
+                     st.sampled_from(INSERTS)),
        new=st.one_of(VALUES, st.sampled_from(HUGE)))
+@example(key=("normalization", UNKNOWN), new=[1, 2])
 @example(key=("config", "d"), new=10 ** 30)
 @example(key=("config", "ln_eps"), new=10 ** 400)
 @example(key=("params",), new=5)
 @example(key=("params", "head.W_out", "shape"), new=7)
 def test_a_mutated_model_file_loads_or_is_refused_by_name(workdir, key, new):
+    inserted = key in INSERTS
+    assume(not (inserted and new is DELETE))
     mutant = workdir / "mutant.json"
     text = mutated_text(MODEL_DOC, key, new) + "\n"
     mutant.write_text(text, encoding="utf-8")
@@ -139,7 +147,10 @@ def test_a_mutated_model_file_loads_or_is_refused_by_name(workdir, key, new):
         assert why.startswith(f"{mutant}: "), why
         if key[:1] == ("params",) and len(key) > 1 and new is not DEEP:
             assert f"'{key[1]}'" in why, why
+        if inserted and new is not DEEP:
+            assert f"'{UNKNOWN}'" in why, why
         return
+    assert not inserted, "a model file with an unknown key loaded"
     resaved = workdir / "resaved.json"
     save_model(model, resaved)
     again = resaved.read_text(encoding="utf-8")

@@ -22,9 +22,8 @@ from carelens.data import (Dataset, PatientCase, apply_normalization,
                            fit_normalization)
 from carelens.context import decorrelation_total
 from carelens.head import PROB_CLAMP, cross_entropy
-from carelens.model import (FittedModel, ModelConfig, batch_tensors,
-                            forward_batch, init_params, load_model,
-                            pad_cases, save_model, score_cases)
+from carelens.model import (FittedModel, ModelConfig, forward_batch, init_params,
+                            load_model, pad_cases, save_model, score_cases)
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -100,9 +99,11 @@ def test_init_params_is_bitwise_pinned(kw, seed, digest):
 
 
 def test_batch_tensors_layout():
+    # the layout of a training batch, stacked by pad_cases: no mask, no pads
     cfg = tiny_config()
     cases = make_cases(4, 5, cfg, seed=1)
-    records, delta, baseline, labels = batch_tensors(cases)
+    records, delta, baseline, labels, keep = pad_cases(cases)
+    assert keep is None
     assert records.shape == (4, 3, 5)
     assert delta.shape == (4, 5) and baseline.shape == (4, 2)
     for b, c in enumerate(cases):
@@ -111,17 +112,10 @@ def test_batch_tensors_layout():
     npt.assert_array_equal(labels, [c.label for c in cases])
 
 
-def test_batch_tensors_reject_mixed_lengths():
-    cfg = tiny_config()
-    cases = make_cases(2, 4, cfg, seed=2) + make_cases(1, 6, cfg, seed=3)
-    with pytest.raises(ValueError, match="visit count"):
-        batch_tensors(cases)
-
-
 def test_forward_outputs_are_clamped_probabilities():
     cfg = tiny_config()
     store = init_params(cfg, 3)
-    records, delta, baseline, _ = batch_tensors(make_cases(6, 4, cfg, seed=4))
+    records, delta, baseline, _, _ = pad_cases(make_cases(6, 4, cfg, seed=4))
     prob, decorr, trace = forward_batch(store.leaves(), records, delta,
                                         baseline, cfg)
     assert prob.shape == (6,)
@@ -135,10 +129,10 @@ def test_batched_forward_matches_single_case_runs():
     cfg = tiny_config()
     store = init_params(cfg, 5)
     cases = make_cases(5, 6, cfg, seed=6)
-    records, delta, baseline, _ = batch_tensors(cases)
+    records, delta, baseline, _, _ = pad_cases(cases)
     prob, _, _ = forward_batch(store.leaves(), records, delta, baseline, cfg)
     for b, c in enumerate(cases):
-        r1, d1, b1, _ = batch_tensors([c])
+        r1, d1, b1, _, _ = pad_cases([c])
         p1, _, _ = forward_batch(store.leaves(), r1, d1, b1, cfg)
         assert abs(float(p1.data[0]) - prob.data[b]) < 1e-10
 
@@ -146,7 +140,7 @@ def test_batched_forward_matches_single_case_runs():
 def test_trace_shapes_and_distributions():
     cfg = tiny_config()
     store = init_params(cfg, 7)
-    records, delta, baseline, _ = batch_tensors(make_cases(3, 5, cfg, seed=8))
+    records, delta, baseline, _, _ = pad_cases(make_cases(3, 5, cfg, seed=8))
     _, _, trace = forward_batch(store.leaves(), records, delta, baseline, cfg,
                                 collect_trace=True)
     assert len(trace["ta_alphas"]) == cfg.n_features
@@ -435,6 +429,16 @@ def test_load_model_names_a_missing_normalization_field(tmp_path, norm):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: normalization has no "
                                          "field 'f"):
+        load_model(path)
+
+
+def test_load_model_names_an_unknown_normalization_field(tmp_path):
+    # it used to load, and a re-save dropped the key
+    path, doc = _doc_with_normalization(tmp_path)
+    doc["normalization"]["extra_field"] = [1, 2]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: normalization has "
+                                         "unknown field 'extra_field'$"):
         load_model(path)
 
 
@@ -752,12 +756,17 @@ def test_mixed_length_chunk_equals_per_length_batches():
 
 
 def test_equal_length_chunk_is_exactly_batch_tensors():
+    # equal lengths: pad_cases is the plain stack of the case fields
     cases = make_cases(5, 6, tiny_config(), seed=23)
     *arrays, keep = pad_cases(cases)
     assert keep is None
-    for got, want in zip(arrays, batch_tensors(cases)):
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+    want = (np.stack([c.records for c in cases]),
+            np.stack([c.timestamps[-1] - c.timestamps for c in cases]),
+            np.stack([c.baseline for c in cases]),
+            np.array([c.label for c in cases], dtype=np.float64))
+    for got, ref in zip(arrays, want, strict=True):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, ref)
 
 
 def looped_pad_cases(cases):

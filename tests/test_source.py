@@ -262,3 +262,46 @@ def test_process_start_check_sees_what_it_should():
         "line 2: os.fork", "line 3: multiprocessing", "line 4: multiprocessing.Pool",
         "line 5: concurrent.futures.ProcessPoolExecutor", "line 6: concurrent.futures",
         "line 7: concurrent.futures", "line 9: os.fork", "line 10: os.fork"]
+
+
+def adam_step_calls(source: str, module: str) -> list[str]:
+    """Calls in ``source`` of the package's ``adam_step``, under whatever
+    name or module path an import gives it."""
+    tree = ast.parse(source)
+    paths, _ = _bindings(tree, module)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            path = _path(node.func, paths) or ""
+            if path.startswith((".", "carelens.")) and path.endswith(".adam_step"):
+                found.append(f"line {node.lineno}: {path}")
+    return found
+
+
+# the one training loop, and the optimiser's own tests
+ADAM_STEP_CALLERS = {PACKAGE / "train.py", TESTS / "test_optim.py"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_train_py_and_test_optim_call_adam_step(path):
+    # a test that needs training steps calls train.train_epoch, so that no
+    # copy of the loop can drift from the one that fit runs
+    calls = adam_step_calls(path.read_text(encoding="utf-8"), path.stem)
+    assert bool(calls) == (path in ADAM_STEP_CALLERS), calls
+
+
+def test_adam_step_call_check_sees_what_it_should():
+    source = ("import carelens\nimport carelens.optim as opt\n"
+              "from carelens import adam_step as step\n"
+              "from carelens.optim import ParamStore, adam_step\n"
+              "from . import optim\nfrom .optim import adam_step as a\n"
+              "def loop(store, trainer):\n"
+              "    store.zero_grad()\n    adam_step(store, 0.1)\n"
+              "    carelens.optim.adam_step(store, 0.1)\n    opt.adam_step(store, lr=0.1)\n"
+              "    step(store, 0.1)\n    optim.adam_step(store, 0.1)\n    a(store, 0.1)\n"
+              "    trainer.adam_step(store)\n    return adam_step\n")
+    assert adam_step_calls(source, "loop") == [
+        "line 9: carelens.optim.adam_step", "line 10: carelens.optim.adam_step",
+        "line 11: carelens.optim.adam_step", "line 12: carelens.adam_step",
+        "line 13: .optim.adam_step", "line 14: .optim.adam_step"]

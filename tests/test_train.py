@@ -12,9 +12,11 @@ import pytest
 
 import carelens.model as model_mod
 import carelens.train as train_module
-from carelens.model import ModelConfig
+from carelens.data import apply_normalization, fit_normalization
+from carelens.model import ModelConfig, init_params
 from carelens.synthetic import SyntheticSpec, generate_synthetic
-from carelens.train import (TrainConfig, cross_validate, fit, split_train_val)
+from carelens.train import (TrainConfig, _derive_seed, cross_validate, fit, split_train_val,
+                            train_epoch)
 
 LOG_FIELDS = {"epoch", "train_loss", "train_ce", "val_auprc", "val_auroc"}
 
@@ -71,6 +73,51 @@ def test_fit_on_mixed_visit_counts_is_bitwise_pinned():
     digest.update(json.dumps(model.log).encode())
     assert digest.hexdigest() == ("569d7a5ec73ac6c8f2c7c3750f93b358"
                                   "4acfd8592de03840b292c947f9af7976")
+
+
+@pytest.mark.parametrize("time_aware,digest", [
+    (True, "5e47b836dfde852fa97542648dea2d58a5315c23c8e02e5bd9f6d5f30bad5566"),
+    (False, "74e8d14004071488bf93b0d455edf4fc0f002f8df7435aef6a8211f7db2982a0")])
+def test_fixed_budget_epochs_are_bitwise_pinned(time_aware, digest):
+    # acceptance 07/08's cohort and protocol cut to 120 cases and 3 epochs,
+    # with no validation; 19 visit counts, so most batches are small.  The
+    # digests are those of the loop 07/08 ran before ``train_epoch`` existed
+    spec = SyntheticSpec(n_cases=120, n_features=4, n_baseline=3,
+                         decay_profile=["fast", "fast", "slow", "slow"],
+                         label_noise=0.1, seed=0, tau_fast=6.0, tau_slow=2000.0,
+                         w_fast=2.0)
+    ds_raw, _ = generate_synthetic(spec)
+    ids = ds_raw.ids()
+    ds = apply_normalization(ds_raw, fit_normalization(ds_raw, ids))
+    config = TrainConfig(d=16, heads=2, time_aware=time_aware, lr=1e-2, batch_size=64,
+                         seed=0)
+    store = init_params(config.model_config(ds), _derive_seed(0, 1))
+    for epoch in range(3):
+        train_epoch(store, ds, ids, config, epoch)
+    assert store.step_count == 57
+    assert hashlib.sha256(store.flat("value").tobytes()).hexdigest() == digest
+
+
+def test_a_non_finite_loss_raises_before_its_adam_step(monkeypatch):
+    ds = toy_dataset(seed=18)
+    train_ids, val_ids = split_ids(ds, 12)
+    config = quick_config()
+    calls, real_ce = [], train_module.cross_entropy
+
+    def nan_on_batch_1(prob, labels):
+        calls.append(1)
+        ce = real_ce(prob, labels)
+        return ce * np.nan if len(calls) == 2 else ce
+
+    monkeypatch.setattr(train_module, "cross_entropy", nan_on_batch_1)
+    store = init_params(config.model_config(ds), 0)
+    with pytest.raises(RuntimeError, match="^non-finite loss at epoch 0 batch 1$"):
+        train_epoch(store, ds, train_ids, config, 0)
+    assert store.step_count == 1
+    calls.clear()
+    with pytest.raises(RuntimeError, match="^non-finite loss at epoch 0 batch 1$"):
+        fit(ds, train_ids, val_ids, config)
+    assert len(calls) == 2
 
 
 def test_fit_seed_changes_model():

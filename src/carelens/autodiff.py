@@ -41,7 +41,7 @@ def as_array(x) -> np.ndarray:
 
 
 class Var:
-    """Graph node: value ``data``, gradient buffer ``grad`` (lazy)."""
+    """Graph node: value ``data``, gradient buffer ``grad`` (lazy unless given)."""
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
@@ -49,9 +49,9 @@ class Var:
     # object arrays when an ndarray sits on the left
     __array_ufunc__ = None
 
-    def __init__(self, data, parents: tuple = (), backward=None):
+    def __init__(self, data, parents: tuple = (), backward=None, grad=None):
         self.data = as_array(data)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = grad
         # the one place where no_grad drops the graph
         if _grad_enabled:
             self._parents, self._backward = parents, backward

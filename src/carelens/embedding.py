@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .optim import ParamDecl, uniform_init
+from .optim import ParamDecl, ParamStore, uniform_init
 
 GATES = ("z", "r", "h")
 DECAY_FLOOR = 0.01
@@ -45,18 +45,11 @@ def init_baseline_params(d: int, n_baseline: int,
     yield "baseline.W_emb", (d, n_baseline), uniform_init(rng, n_baseline)
 
 
-def channel_leaves(lv: dict[str, Var], n: int) -> dict[str, Var]:
-    pre = f"channel{n}"
-    p = {f"{w}_{g}": lv[f"{pre}.gru.{w}_{g}"] for g in GATES for w in ("W", "U", "b")}
-    p["W_q"] = lv[f"{pre}.attn.W_q"]
-    p["W_k"] = lv[f"{pre}.attn.W_k"]
-    p["beta_raw"] = lv[f"{pre}.attn.beta_raw"]
-    return p
-
-
-def decay_rate(beta_raw) -> np.ndarray:
-    """Effective decay softplus(raw) + floor, as plain numpy."""
-    return np.logaddexp(0.0, np.asarray(beta_raw, dtype=np.float64)) + DECAY_FLOOR
+def channel_leaves(store: ParamStore, n_features: int, d: int) -> dict[str, Var]:
+    """One ``stacked_leaf`` of the channels per weight kind: ``W_z``, ..., ``beta_raw``."""
+    kinds = zip(*([name for name, _, _ in init_channel_params(n, d, None)]
+                  for n in range(n_features)))
+    return {names[0].rsplit(".", 1)[1]: store.stacked_leaf(list(names)) for names in kinds}
 
 
 def _sum_from_last(parts: np.ndarray) -> np.ndarray:
@@ -67,15 +60,15 @@ def _sum_from_last(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
+def gru_forward_batch(records: np.ndarray, channels: dict[str, Var],
                       keep: np.ndarray | None = None) -> Var:
     """Run every feature's scalar-input GRU over its row of (B, N, T) records.
 
-    ``channels[n]`` holds channel n's ``W_*``, ``U_*`` and ``b_*`` leaves.
-    Returns one tape node with the hidden states of all N channels,
-    shape (N, B, T, d).  Gate convention: h_t = (1 - z_t) * h_{t-1} +
-    z_t * cand_t, with the reset gate applied to the previous state inside
-    the candidate.
+    ``channels`` holds the (N, ...) ``W_*``, ``U_*`` and ``b_*`` leaves of
+    ``channel_leaves``.  Returns one tape node with the hidden states of all
+    N channels, shape (N, B, T, d).  Gate convention: h_t = (1 - z_t) *
+    h_{t-1} + z_t * cand_t, with the reset gate applied to the previous
+    state inside the candidate.
 
     ``keep`` is an optional (B, T) mask that is False at pad steps.  The
     state is written back to exactly 0.0 there, so with the pads first a
@@ -91,13 +84,9 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
     """
     records = np.asarray(records, dtype=np.float64)
     b_size, n_ch, t_len = records.shape
-    leaves = {(w, g): [ch[f"{w}_{g}"] for ch in channels]
-              for w in ("W", "U", "b") for g in GATES}
-    w_in = np.stack([[v.data[:, 0] for v in leaves["W", g]] for g in GATES])  # (3, N, d)
-    bias = np.stack([[v.data for v in leaves["b", g]] for g in GATES])         # (3, N, d)
-    u = np.stack([[v.data for v in leaves["U", g]] for g in GATES])         # (3, N, d, d)
-    u_t = np.swapaxes(u, -1, -2)        # the transposed views a composed h @ U^T uses
-    d = u.shape[-1]
+    w, u, b = ([channels[f"{kind}_{g}"] for g in GATES] for kind in "WUb")  # (N, ...) each
+    u_t = [np.swapaxes(v.data, -1, -2) for v in u]  # the views a composed h @ U^T uses
+    d = b[0].shape[-1]
     x = records.transpose(2, 1, 0)                                  # (T, N, B)
     # pads[t]: the rows that are padding at step t, or None
     pads = [None] * t_len if keep is None else [
@@ -109,8 +98,9 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
     # the input weights and the biases broadcast once over the batch, so
     # that each step's products and sums run as flat passes; elementwise
     # arithmetic gives the same bits whatever its operands' strides
-    w_in, bias = (np.ascontiguousarray(np.broadcast_to(a[:, :, None, :], acts.shape[1:]))
-                  for a in (w_in, bias))
+    w_in, bias = np.empty((2, *acts.shape[1:]))                     # (3, N, B, d) each
+    for i in range(3):
+        w_in[i], bias[i] = w[i].data[:, None, :, 0], b[i].data[:, None]
     x_t = np.empty((n_ch, b_size, d))                               # x_t over d
     xw = np.empty_like(w_in)                                        # x_t W^T per gate
     tmp = np.empty_like(x_t)
@@ -147,7 +137,7 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
             z, r, cand = acts[t]
             dp_z, dp_r, dp_h = d_pre[t]
             np.multiply(dh * z, 1.0 - cand * cand, out=dp_h)
-            drh = dp_h @ u[2]
+            drh = dp_h @ u[2].data
             np.multiply(drh * h * r, 1.0 - r, out=dp_r)
             # z feeds 1 - z and z * cand; a sum of two terms has no order
             np.multiply((dh * cand - dh * h) * z, 1.0 - z, out=dp_z)
@@ -155,26 +145,21 @@ def gru_forward_batch(records: np.ndarray, channels: list[dict[str, Var]],
                 # h_{t-1} feeds the output, (1 - z) * h, h @ U_z^T, r * h and
                 # h @ U_r^T; the tape adds their gradients in that order
                 dh = grad[:, :, t - 1] + dh * (1.0 - z)
-                dh += dp_z @ u[0]
+                dh += dp_z @ u[0].data
                 dh += drh * r
-                dh += dp_r @ u[1]
+                dh += dp_r @ u[1].data
         h_rows = np.swapaxes(hs[:-1], -1, -2)
         lhs = (h_rows, h_rows, np.swapaxes(acts[:, 1] * hs[:-1], -1, -2))
         x_rows = x[:, :, None, :]                                   # (T, N, 1, B)
         # per-step weight gradients, summed from the last step down as the
         # tape does, then added to the leaves once
-        for i, g in enumerate(GATES):
+        for i in range(3):
             dp = d_pre[:, i]
-            d_w = _sum_from_last(x_rows @ dp)                       # (N, 1, d)
-            d_u = _sum_from_last(lhs[i] @ dp)                       # (N, d, d)
-            d_b = _sum_from_last(dp.sum(axis=2))                    # (N, d)
-            for n in range(len(channels)):
-                leaves["W", g][n]._accumulate(d_w[n].T)
-                leaves["U", g][n]._accumulate(d_u[n].T)
-                leaves["b", g][n]._accumulate(d_b[n])
+            w[i]._accumulate(np.swapaxes(_sum_from_last(x_rows @ dp), 1, 2))
+            u[i]._accumulate(np.swapaxes(_sum_from_last(lhs[i] @ dp), 1, 2))
+            b[i]._accumulate(_sum_from_last(dp.sum(axis=2)))
 
-    return Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)),
-               tuple(v for vs in leaves.values() for v in vs), bwd)
+    return Var(np.ascontiguousarray(hs[1:].transpose(1, 2, 0, 3)), (*w, *u, *b), bwd)
 
 
 def time_damped_scores(c: Var, delta: np.ndarray, beta: Var) -> Var:
@@ -183,42 +168,36 @@ def time_damped_scores(c: Var, delta: np.ndarray, beta: Var) -> Var:
     return ad.tanh(c / (beta * damp))
 
 
-def effective_beta(p: dict[str, Var]) -> Var:
-    return ad.softplus(p["beta_raw"]) + DECAY_FLOOR
+def effective_beta(beta_raw: Var) -> Var:
+    return ad.softplus(beta_raw) + DECAY_FLOOR
 
 
 def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
-                               channels: list[dict[str, Var]],
+                               channels: dict[str, Var],
                                time_aware: bool = True,
                                keep: np.ndarray | None = None) -> tuple[Var, Var]:
     """Attend over every channel's hidden states at once.
 
-    ``hidden`` holds (N, B, T, d) states and ``channels[n]`` channel n's
-    ``W_q``, ``W_k`` and ``beta_raw`` leaves.  Returns (summaries (N, B, d),
-    alphas (N, B, T)).  The query comes from the last hidden state.
+    ``hidden`` holds (N, B, T, d) states and ``channels`` the ``channel_leaves``.
+    Returns (summaries (N, B, d), alphas (N, B, T)).  The query comes from
+    the last hidden state.
     ``delta`` holds (B, T) hours back from the newest visit; with
     ``time_aware=False`` the damping is frozen at its dt = 0 value.  An
     optional (B, T) ``keep`` mask gives pad steps a weight of exactly 0;
     the last step must be real.
 
-    The channels' weights are stacked as W_q (N, d, d), W_k (N, 1, d, d) and
-    beta (N, 1, 1), so every product runs on the operands one channel alone
-    would use and every value and gradient is bit for bit the per-channel
-    one.
+    W_q, W_k and beta are shaped (N, d, d), (N, 1, d, d) and (N, 1, 1), so
+    every product runs on the operands one channel alone would use and
+    every value and gradient is bit for bit the per-channel one.
     """
     n_ch, b_size, t_len, d = hidden.shape
-    w_q = ad.t2(ad.stack([p["W_q"] for p in channels]))
-    w_k = ad.t2(ad.reshape(ad.stack([p["W_k"] for p in channels]),
-                           (n_ch, 1, d, d)))
-    beta_raw = ad.reshape(ad.stack([p["beta_raw"] for p in channels]),
-                          (n_ch, 1, 1))
-    q = hidden[:, :, -1, :] @ w_q                                  # (N, B, d)
-    k = hidden @ w_k                                               # (N, B, T, d)
-    c = ad.vsum(ad.reshape(q, (n_ch, b_size, 1, d)) * k, axis=-1)  # (N, B, T)
+    q = hidden[:, :, -1, :] @ ad.t2(channels["W_q"])                   # (N, B, d)
+    k = hidden @ ad.t2(ad.reshape(channels["W_k"], (n_ch, 1, d, d)))   # (N, B, T, d)
+    c = ad.vsum(ad.reshape(q, (n_ch, b_size, 1, d)) * k, axis=-1)      # (N, B, T)
     if not time_aware:
         delta = np.zeros((b_size, t_len))
-    zeta = time_damped_scores(c, np.asarray(delta, dtype=np.float64),
-                              effective_beta({"beta_raw": beta_raw}))
+    beta = effective_beta(ad.reshape(channels["beta_raw"], (n_ch, 1, 1)))
+    zeta = time_damped_scores(c, np.asarray(delta, dtype=np.float64), beta)
     alpha = ad.softmax(zeta, mask=keep, axis=-1)
     summary = ad.reshape(ad.reshape(alpha, (n_ch, b_size, 1, t_len)) @ hidden,
                          (n_ch, b_size, d))

@@ -30,7 +30,7 @@ from .autodiff import Var
 from .context import LN_EPS, decorrelation_total, encode, init_encoder_params
 from .data import (Dataset, Normalization, PatientCase, _numbers, apply_normalization,
                    name_list, typed)
-from .embedding import (channel_leaves, decay_rate, embed_baseline_batch,
+from .embedding import (channel_leaves, effective_beta, embed_baseline_batch,
                         gru_forward_batch, init_baseline_params,
                         init_channel_params, time_aware_attention_batch)
 from .head import final_attention, init_head_params, predict
@@ -120,10 +120,10 @@ def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return records, delta, baseline, labels, None if keep.all() else keep
 
 
-def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
-                  baseline: np.ndarray, cfg: ModelConfig,
+def forward_batch(lv: dict[str, Var], channels: dict[str, Var], records: np.ndarray,
+                  delta: np.ndarray, baseline: np.ndarray, cfg: ModelConfig,
                   collect_trace: bool = False, keep: np.ndarray | None = None):
-    """Run the full model on stacked arrays.
+    """Run the full model on stacked arrays with a store's leaves and ``channel_leaves``.
 
     Returns (probabilities (B,), covariance penalty, trace-or-None).  The
     penalty only feeds the training loss: inside ``autodiff.no_grad()`` it
@@ -132,7 +132,6 @@ def forward_batch(lv: dict[str, Var], records: np.ndarray, delta: np.ndarray,
     weights as plain arrays.  ``keep`` is the (B,T) mask of a left-padded
     batch (see ``pad_cases``); pad steps then get zero attention.
     """
-    channels = [channel_leaves(lv, n) for n in range(cfg.n_features)]
     hidden = gru_forward_batch(records, channels, keep)    # (N, B, T, d)
     ta_summary, ta_alpha = time_aware_attention_batch(hidden, delta, channels,
                                                       cfg.time_aware, keep)
@@ -199,12 +198,12 @@ def _forward_chunks(store: ParamStore, cfg: ModelConfig,
     each run as one padded forward pass with no tape; ``fork_map`` shares
     the chunks out, at least two to a process.  A chunk's outputs depend
     only on its own cases and the weights."""
-    lv = store.leaves()
+    lv, channels = store.leaves(), channel_leaves(store, cfg.n_features, cfg.d)
 
     def run(idx):
         records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
         with ad.no_grad():
-            prob, _, trace = forward_batch(lv, records, delta, baseline, cfg,
+            prob, _, trace = forward_batch(lv, channels, records, delta, baseline, cfg,
                                            collect_trace, keep=keep)
         return idx, prob.data, trace
 
@@ -347,9 +346,9 @@ class FittedModel:
 
     def decay_rates(self) -> dict[str, float]:
         """Learned per-feature decay rates (higher = forgets faster)."""
-        return {name: float(decay_rate(
-                    self.store.value(f"channel{n}.attn.beta_raw")))
-                for n, name in enumerate(self.feature_names)}
+        raw = channel_leaves(self.store, self.config.n_features, self.config.d)["beta_raw"]
+        with ad.no_grad():
+            return dict(zip(self.feature_names, map(float, effective_beta(raw).data)))
 
     def trace_cases(self, dataset: Dataset, ids: list[str] | None = None
                     ) -> list[dict]:

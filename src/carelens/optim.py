@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -38,8 +39,8 @@ class ParamStore:
     Built once from (name, value) pairs.  Values, gradients and both Adam
     moments each live in one contiguous float64 buffer, in the order of the
     pairs; every entry's fields are views into those buffers, so whole-store
-    updates are a few numpy calls.  ``leaf(name)`` hands out a graph node
-    whose gradient buffer is shared with the store, so ``backward()``
+    updates are a few numpy calls.  ``leaf`` and ``stacked_leaf`` hand out
+    graph nodes whose gradients are views of the store's, so ``backward()``
     accumulates straight into it.  One Adam step count serves every entry.
     """
 
@@ -49,16 +50,15 @@ class ParamStore:
             if name in values:
                 raise ValueError(f"duplicate parameter name '{name}'")
             values[name] = np.asarray(value, dtype=np.float64)
-        size = sum(v.size for v in values.values())
-        self._bufs = {f: np.zeros(size) for f in _FIELDS}
+        starts = list(accumulate((v.size for v in values.values()), initial=0))
+        self._bufs = {f: np.zeros(starts[-1]) for f in _FIELDS}
+        self._starts = dict(zip(values, starts))    # each entry's offset in the buffers
         self._entries: dict[str, ParamEntry] = {}
-        start = 0
-        for name, v in values.items():
+        for (name, v), start in zip(values.items(), starts):
             e = ParamEntry(*(self._bufs[f][start:start + v.size].reshape(v.shape)
                              for f in _FIELDS))
             e.value[...] = v
             self._entries[name] = e
-            start += v.size
         self.step_count = 0
 
     def flat(self, field: str) -> np.ndarray:
@@ -79,9 +79,22 @@ class ParamStore:
 
     def leaf(self, name: str) -> Var:
         e = self._entries[name]
-        v = Var(e.value)
-        v.grad = e.grad
-        return v
+        return Var(e.value, grad=e.grad)
+
+    def stacked_leaf(self, names: list[str]) -> Var:
+        """A (len(names), *shape) leaf viewing entries of one shape at equal steps."""
+        first, at = self._entries[names[0]].value, [self._starts[n] for n in names]
+        step = at[1] - at[0] if len(names) > 1 else first.size
+        odd = [n for i, n in enumerate(names)
+               if self._entries[n].value.shape != first.shape or at[i] != at[0] + i * step]
+        if odd or step < 1:
+            raise ValueError(f"parameters {odd or names} do not share the shape of "
+                             f"'{names[0]}' at equal, positive steps after it")
+        shape, strides = (len(names), *first.shape), (step * first.itemsize, *first.strides)
+        value, grad = (np.ndarray(shape, first.dtype, buffer=self._bufs[f],
+                                  offset=at[0] * first.itemsize, strides=strides)
+                       for f in ("value", "grad"))
+        return Var(value, grad=grad)
 
     def leaves(self) -> dict[str, Var]:
         return {name: self.leaf(name) for name in self._entries}

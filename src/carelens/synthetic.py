@@ -52,17 +52,22 @@ class SyntheticSpec:
         return list(self.decay_profile)
 
     def validate(self) -> None:
-        if self.n_features < 1 or self.n_baseline < 1 or self.n_cases < 1:
-            raise ValueError("n_features, n_baseline, n_cases must be positive")
         prof = self.resolved_profile()
-        if len(prof) != self.n_features or not set(prof) <= {"fast", "slow"}:
-            raise ValueError("decay_profile must tag every feature fast or slow")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ValueError("label_noise must lie in [0, 1)")
-        if not 0.0 < self.prevalence < 1.0:
-            raise ValueError("prevalence must lie in (0, 1)")
-        if not 1 <= self.min_visits <= self.max_visits:
-            raise ValueError("need 1 <= min_visits <= max_visits")
+        for key, ok, rule in (
+                ("n_features", self.n_features >= 1, "at least 1"),
+                ("n_baseline", self.n_baseline >= 1, "at least 1"),
+                ("n_cases", self.n_cases >= 1, "at least 1"),
+                ("decay_profile", len(prof) == self.n_features
+                 and set(prof) <= {"fast", "slow"}, "a fast or slow tag per feature"),
+                ("label_noise", 0 <= self.label_noise < 1, "in [0, 1)"),
+                ("prevalence", 0 < self.prevalence < 1, "in (0, 1)"),
+                ("min_visits", 1 <= self.min_visits <= self.max_visits, "in 1..max_visits"),
+                *((k, np.isfinite(getattr(self, k)), "finite")
+                  for k in ("w_fast", "w_slow", "w_int")),
+                *((k, 0 < getattr(self, k) < np.inf, "finite and above 0")
+                  for k in ("tau_fast", "tau_slow", "mean_gap_hours"))):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, not {getattr(self, key)!r}")
         for fi, bi in self.interaction:
             if not 0 <= fi < self.n_features:
                 raise ValueError(f"interaction feature index {fi} out of range")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
+from .embedding import channel_leaves
 from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
 from .model import (FittedModel, ModelConfig, forward_batch, fork_map, init_params,
@@ -37,14 +38,16 @@ class TrainConfig:
     pool_positions: bool = False
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("lr, batch_size, max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.lambda_decorr < 0:
-            raise ValueError("lambda_decorr must be non-negative")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
+        for key, ok, rule in (
+                ("lr", 0 < self.lr < np.inf, "finite and above 0"),
+                ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("max_epochs", self.max_epochs >= 0, "at least 0"),
+                ("patience", self.patience >= 1, "at least 1"),
+                ("lambda_decorr", 0 <= self.lambda_decorr < np.inf, "finite and >= 0"),
+                ("val_fraction", 0 < self.val_fraction < 1, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"train config '{key}' must be {rule}, "
+                                 f"not {getattr(self, key)!r}")
 
     def model_config(self, dataset: Dataset) -> ModelConfig:
         """The model this config trains: every field the two configs share."""
@@ -64,6 +67,7 @@ def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
     ``make_batches`` for the config's seed and ``epoch``: the one training
     loop.  Returns the case-weighted mean ``train_loss`` and ``train_ce``."""
     cfg = config.model_config(dataset)
+    lv, channels = store.leaves(), channel_leaves(store, cfg.n_features, cfg.d)
     loss_sum = ce_sum = 0.0
     seen = 0
     batches = make_batches(dataset, ids, config.batch_size,
@@ -71,7 +75,7 @@ def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
     for b_idx, batch in enumerate(batches):
         records, delta, baseline, labels, keep = pad_cases(batch)
         store.zero_grad()
-        prob, decorr, _ = forward_batch(store.leaves(), records, delta, baseline, cfg,
+        prob, decorr, _ = forward_batch(lv, channels, records, delta, baseline, cfg,
                                         keep=keep)
         ce = cross_entropy(prob, labels)
         loss = ce + config.lambda_decorr * decorr

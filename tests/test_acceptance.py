@@ -21,8 +21,8 @@ import carelens.autodiff as ad
 from carelens.autodiff import Var
 from carelens.context import decorrelation_total, multi_head_attention
 from carelens.data import PatientCase, apply_normalization, fit_normalization
-from carelens.embedding import (effective_beta, time_aware_attention_batch,
-                                time_damped_scores)
+from carelens.embedding import (channel_leaves, effective_beta,
+                                time_aware_attention_batch, time_damped_scores)
 from carelens.head import cross_entropy, final_attention
 from carelens.metrics import auprc, auroc, bootstrap_eval, min_se_pplus
 from carelens.model import ModelConfig, forward_batch, fork_map, init_params, pad_cases
@@ -65,7 +65,8 @@ def test_acceptance_01_every_parameter_passes_end_to_end_grad_check():
     records, delta, baseline, labels, _ = pad_cases(cases)
 
     def loss(s: ParamStore) -> Var:
-        prob, decorr, _ = forward_batch(s.leaves(), records, delta, baseline, cfg)
+        prob, decorr, _ = forward_batch(s.leaves(), channel_leaves(s, 3, 8), records,
+                                        delta, baseline, cfg)
         return cross_entropy(prob, labels) + decorr
 
     errs = grad_check(loss, store, h=3e-5)
@@ -156,11 +157,12 @@ def final_oracle(fstar, w_q, key_mats):
 
 def time_aware_attention(hidden, timestamps, p):
     """One case's (T, d) states and (T,) timestamps through the batched
-    production attention as a batch of one: ((d,), (T,)) tape nodes."""
+    production attention as a batch of one, with the (1, ...) weights of
+    ``p``: ((d,), (T,)) tape nodes."""
     t_len, d = hidden.shape
     ts = np.asarray(timestamps, dtype=np.float64)
     f, alpha = time_aware_attention_batch(ad.as_var(hidden[None, None]),
-                                          (ts[-1] - ts)[None, :], [p])
+                                          (ts[-1] - ts)[None, :], p)
     return ad.reshape(f, (d,)), ad.reshape(alpha, (t_len,))
 
 
@@ -174,8 +176,8 @@ def test_acceptance_02_attention_and_penalty_match_direct_loop_oracles():
         w_q = rng.normal(size=(d, d))
         w_k = rng.normal(size=(d, d))
         raw = float(rng.uniform(-1.0, 2.0))
-        p = {"W_q": ad.as_var(w_q), "W_k": ad.as_var(w_k),
-             "beta_raw": ad.as_var(np.array(raw))}
+        p = {"W_q": ad.as_var(w_q[None]), "W_k": ad.as_var(w_k[None]),
+             "beta_raw": ad.as_var(np.array([raw]))}
         f, alpha = time_aware_attention(hidden, ts, p)
         f_o, alpha_o = ta_oracle(hidden, ts, w_q, w_k, raw)
         assert np.abs(f.data - f_o).max() <= 1e-12
@@ -233,7 +235,7 @@ def damped_curves(c_vals: np.ndarray, raw_vals: np.ndarray) -> np.ndarray:
     """Production scores for every pair over the horizon 0..200 hours."""
     horizon = np.arange(201.0)
     c = ad.as_var(np.repeat(c_vals[:, None], horizon.size, axis=1))
-    beta = effective_beta({"beta_raw": ad.as_var(raw_vals[:, None])})
+    beta = effective_beta(ad.as_var(raw_vals[:, None]))
     return time_damped_scores(c, np.broadcast_to(horizon, c.shape), beta).data
 
 
@@ -410,8 +412,7 @@ def _train_fixed_budget(ds, train_ids, config: TrainConfig) -> ParamStore:
 def _decay_seed(seed: int) -> dict:
     """One seed of ``decay_study``: held-out AUROC of both models, and the
     full model's learned decay rates."""
-    from carelens.embedding import decay_rate
-    from carelens.model import score_cases
+    from carelens.model import FittedModel, score_cases
 
     spec = SyntheticSpec(n_cases=1000, n_features=4, n_baseline=3,
                          decay_profile=["fast", "fast", "slow", "slow"],
@@ -434,8 +435,8 @@ def _decay_seed(seed: int) -> dict:
         scores = score_cases(store, config.model_config(ds), test_cases)
         entry["full" if ta else "ablated"] = auroc(scores, test_labels)
         if ta:
-            betas = [float(decay_rate(store.value(f"channel{n}.attn.beta_raw")))
-                     for n in range(4)]
+            betas = list(FittedModel(store, config.model_config(ds), ds.feature_names,
+                                     ds.baseline_names).decay_rates().values())
             entry["fast"], entry["slow"] = betas[:2], betas[2:]
     return entry
 

@@ -151,6 +151,30 @@ def test_runtime_failure_exits_one_with_json(tmp_path, capsys):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+                                        ("--lambda-decorr", "inf")])
+def test_train_refuses_a_bad_rate_with_one_json_line(tmp_path, capsys, flag, value):
+    data = gen_dir(tmp_path, capsys, cases=20)
+    code, _, err = run(capsys, "train", "--out", str(tmp_path / "run"),
+                       "--data", str(data / "dataset.jsonl"), *TINY_TRAIN, flag, value)
+    assert code == 1
+    key = flag[2:].replace("-", "_")
+    assert err.count("\n") == 1 and "RuntimeWarning" not in err
+    assert json.loads(err)["error"].startswith(f"ValueError: train config '{key}' must be")
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--w-fast", "nan"), ("--w-slow", "inf")])
+def test_generate_refuses_a_weight_that_is_not_finite(tmp_path, capsys, flag, value):
+    code, _, err = run(capsys, "generate", "--out", str(tmp_path / "gen"),
+                       "--cases", "10", flag, value)
+    assert code == 1
+    key = flag[2:].replace("-", "_")
+    assert json.loads(err) == {"error": f"ValueError: {key} must be finite, "
+                                        f"not {float(value)!r}"}
+    assert not (tmp_path / "gen" / "dataset.jsonl").exists()
+
+
 def test_eval_writes_report(tmp_path, capsys):
     data = gen_dir(tmp_path, capsys)
     run_dir = train_dir(tmp_path, capsys, data)

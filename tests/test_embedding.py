@@ -25,6 +25,24 @@ def channel_store(d, n_channels=1, seed=0, with_baseline=0):
     return ParamStore((name, init(shape)) for name, shape, init in layout)
 
 
+def channel(lv, n):
+    """Channel n's leaves of ``ParamStore.leaves()``, keyed as ``channel_leaves``
+    keys its stacked ones.  Their arrays alias the stacked leaves', so the
+    per-channel references write their gradients into the same buffers."""
+    return {name.rsplit(".", 1)[1]: v for name, v in lv.items()
+            if name.startswith(f"channel{n}.")}
+
+
+def channel_list(store, n_channels):
+    return [channel(store.leaves(), n) for n in range(n_channels)]
+
+
+def one_channel(store, n=0):
+    """Channel n alone, as the (1, ...) stacked leaves the batched ops take."""
+    return {name.rsplit(".", 1)[1]: store.stacked_leaf([name])
+            for name, _ in store.items() if name.startswith(f"channel{n}.")}
+
+
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -80,16 +98,15 @@ def test_gru_zero_parameters_give_zero_states():
     for name, _ in store.items():
         if ".gru." in name:
             store.value(name)[...] = 0.0
-    hidden = emb.gru_forward_batch(np.array([[[1.0, -2.0, 3.5]]]),
-                                   [emb.channel_leaves(store.leaves(), 0)])
+    hidden = emb.gru_forward_batch(np.array([[[1.0, -2.0, 3.5]]]), one_channel(store))
     npt.assert_array_equal(hidden.data[0, 0], np.zeros((3, 5)))
 
 
 def test_gru_single_step_matches_closed_form():
     store = channel_store(d=4, seed=1)
-    p = emb.channel_leaves(store.leaves(), 0)
+    p = channel(store.leaves(), 0)
     x = 0.75
-    hidden = emb.gru_forward_batch(np.array([[[x]]]), [p]).data[0, 0]
+    hidden = emb.gru_forward_batch(np.array([[[x]]]), one_channel(store)).data[0, 0]
     z = sigmoid(p["W_z"].data[:, 0] * x + p["b_z"].data)
     cand = np.tanh(p["W_h"].data[:, 0] * x + p["b_h"].data)
     npt.assert_allclose(hidden[0], z * cand, atol=1e-12, rtol=0)
@@ -97,23 +114,24 @@ def test_gru_single_step_matches_closed_form():
 
 def test_gru_matches_reference_recurrence():
     store = channel_store(d=6, seed=2)
-    p = emb.channel_leaves(store.leaves(), 0)
+    p = channel(store.leaves(), 0)
     rng = np.random.default_rng(3)
     for _ in range(5):
         series = rng.normal(size=rng.integers(1, 8))
-        npt.assert_allclose(emb.gru_forward_batch(series[None, None], [p]).data[0, 0],
+        npt.assert_allclose(emb.gru_forward_batch(series[None, None],
+                                                  one_channel(store)).data[0, 0],
                             gru_oracle(series, p), atol=1e-12, rtol=0)
 
 
 def test_gru_batch_rows_independent():
     store = channel_store(d=4, seed=4)
-    p = emb.channel_leaves(store.leaves(), 0)
+    p = one_channel(store)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 5))
-    batch = emb.gru_forward_batch(x[:, None, :], [p]).data[0]
+    batch = emb.gru_forward_batch(x[:, None, :], p).data[0]
     for b in range(3):
         npt.assert_allclose(batch[b],
-                            emb.gru_forward_batch(x[b][None, None], [p]).data[0, 0],
+                            emb.gru_forward_batch(x[b][None, None], p).data[0, 0],
                             atol=1e-13, rtol=0)
 
 
@@ -128,7 +146,7 @@ def per_channel_attention(hidden, delta, p, time_aware=True):
     if not time_aware:
         delta = np.zeros((b_size, t_len))
     zeta = emb.time_damped_scores(c, np.asarray(delta, dtype=np.float64),
-                                  emb.effective_beta(p))
+                                  emb.effective_beta(p["beta_raw"]))
     alpha = ad.softmax(zeta, axis=-1)
     summary = ad.reshape(ad.reshape(alpha, (b_size, 1, t_len)) @ hidden,
                          (b_size, d))
@@ -160,11 +178,16 @@ def full_model_problem(n_feat, b_size, t_len, d, time_aware=True):
     return cfg, store, records, delta, baseline, labels
 
 
+def model_leaves(store, cfg):
+    """The ``lv`` and ``channels`` that ``forward_batch`` takes."""
+    return store.leaves(), emb.channel_leaves(store, cfg.n_features, cfg.d)
+
+
 def full_loss_grads(cfg, store, records, delta, baseline, labels):
     """Probabilities, time-damped attention rows and every parameter
     gradient of the cross-entropy + decorrelation loss."""
     store.zero_grad()
-    prob, decorr, trace = model.forward_batch(store.leaves(), records, delta,
+    prob, decorr, trace = model.forward_batch(*model_leaves(store, cfg), records, delta,
                                               baseline, cfg, collect_trace=True)
     (cross_entropy(prob, labels) + decorr).backward()
     return (prob.data, trace["ta_alphas"],
@@ -202,12 +225,14 @@ def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
     problem = full_model_problem(n_feat, b_size, t_len, d)
     store, records = problem[1], problem[2]
     randomize_gru_biases(store, n_feat + b_size + t_len + d)
-    channels = [emb.channel_leaves(store.leaves(), n) for n in range(n_feat)]
-    npt.assert_array_equal(emb.gru_forward_batch(records, channels).data,
-                           composed_gru_forward_batch(records, channels).data)
+    npt.assert_array_equal(
+        emb.gru_forward_batch(records, emb.channel_leaves(store, n_feat, d)).data,
+        composed_gru_forward_batch(records, channel_list(store, n_feat)).data)
 
     got = full_loss_grads(*problem)
-    monkeypatch.setattr(model, "gru_forward_batch", composed_gru_forward_batch)
+    monkeypatch.setattr(model, "gru_forward_batch", lambda records, _, keep=None:
+                        composed_gru_forward_batch(records, channel_list(store, n_feat),
+                                                   keep))
     assert_same_outputs(got, full_loss_grads(*problem))
     assert any(np.abs(g).max() > 0 for n, g in got[2].items() if ".gru." in n)
 
@@ -302,18 +327,20 @@ def test_stepwise_input_projection_is_bitwise_the_precomputed_one(monkeypatch, n
 
     def outputs():
         store.zero_grad()
-        prob, decorr, trace = model.forward_batch(store.leaves(), records, delta,
-                                                  baseline, cfg, collect_trace=True,
-                                                  keep=keep)
+        prob, decorr, trace = model.forward_batch(*model_leaves(store, cfg), records,
+                                                  delta, baseline, cfg,
+                                                  collect_trace=True, keep=keep)
         (cross_entropy(prob, labels) + decorr).backward()
         with ad.no_grad():
-            graph_free, _, _ = model.forward_batch(store.leaves(), records, delta,
-                                                   baseline, cfg, keep=keep)
+            graph_free, _, _ = model.forward_batch(*model_leaves(store, cfg), records,
+                                                   delta, baseline, cfg, keep=keep)
         return (prob.data, trace["ta_alphas"], graph_free.data,
                 {n: e.grad.copy() for n, e in store.items()})
 
     got = outputs()
-    monkeypatch.setattr(model, "gru_forward_batch", precomputed_gru_forward_batch)
+    monkeypatch.setattr(model, "gru_forward_batch", lambda records, _, keep=None:
+                        precomputed_gru_forward_batch(records, channel_list(store, n_feat),
+                                                      keep))
     want = outputs()
     assert_same_outputs(got[:2] + got[3:], want[:2] + want[3:])
     assert np.array_equal(got[2], want[2]) and np.array_equal(got[2], got[0])
@@ -331,7 +358,8 @@ def test_batched_attention_is_bitwise_the_per_channel_loop(monkeypatch, n_feat,
     problem = full_model_problem(n_feat, b_size, t_len, d, time_aware)
     got = full_loss_grads(*problem)
     monkeypatch.setattr(model, "time_aware_attention_batch",
-                        per_channel_attention_batch)
+                        lambda hidden, delta, _, *args: per_channel_attention_batch(
+                            hidden, delta, channel_list(problem[1], n_feat), *args))
     assert_same_outputs(got, full_loss_grads(*problem))
     if t_len > 1:     # one visit gets weight 1 whatever its score
         for n in range(n_feat):
@@ -344,7 +372,7 @@ def test_masked_gru_holds_pad_states_at_positive_zero():
     for name, e in store.items():
         if ".gru.b_" in name:       # nonzero, so a pad step would move h
             e.value[...] = np.random.default_rng(10).normal(size=e.value.shape)
-    channels = [emb.channel_leaves(store.leaves(), n) for n in range(2)]
+    channels = emb.channel_leaves(store, 2, 5)
     rng = np.random.default_rng(11)
     records = rng.normal(size=(3, 2, 6))
     keep = np.arange(6) >= np.array([[0], [2], [5]])        # 6, 4 and 1 visits
@@ -362,8 +390,8 @@ def test_masked_gru_holds_pad_states_at_positive_zero():
 def test_gru_saturated_update_gate_freezes_state():
     store = channel_store(d=3, seed=6)
     store.value("channel0.gru.b_z")[...] = -50.0  # z ~ 0 everywhere
-    p = emb.channel_leaves(store.leaves(), 0)
-    hidden = emb.gru_forward_batch(np.array([[[1.0, 2.0, 3.0]]]), [p]).data[0, 0]
+    hidden = emb.gru_forward_batch(np.array([[[1.0, 2.0, 3.0]]]),
+                                   one_channel(store)).data[0, 0]
     npt.assert_allclose(hidden[1], hidden[0], atol=1e-20)
     npt.assert_allclose(hidden[2], hidden[0], atol=1e-20)
 
@@ -373,14 +401,14 @@ def test_gru_saturated_update_gate_freezes_state():
 
 def test_effective_beta_is_one_at_init():
     store = channel_store(d=3)
-    beta = emb.effective_beta(emb.channel_leaves(store.leaves(), 0))
+    beta = emb.effective_beta(store.leaf("channel0.attn.beta_raw"))
     assert abs(float(beta.data) - 1.0) < 1e-12
-    assert abs(emb.decay_rate(emb.BETA_RAW_INIT) - 1.0) < 1e-12
+    assert abs(float(emb.effective_beta(ad.Var(emb.BETA_RAW_INIT)).data) - 1.0) < 1e-12
 
 
 def test_decay_rate_respects_floor():
-    assert emb.decay_rate(-100.0) >= emb.DECAY_FLOOR
-    assert emb.decay_rate(-100.0) < emb.DECAY_FLOOR + 1e-12
+    beta = float(emb.effective_beta(ad.Var(-100.0)).data)
+    assert emb.DECAY_FLOOR <= beta < emb.DECAY_FLOOR + 1e-12
 
 
 def test_scores_at_zero_delta_divide_by_beta_exactly():
@@ -409,7 +437,7 @@ def test_score_magnitude_never_grows_with_delta():
     deltas = np.arange(0.0, 201.0)
     for _ in range(200):
         c = float(rng.normal(scale=2))
-        beta = float(emb.decay_rate(rng.uniform(-2, 3)))
+        beta = float(emb.effective_beta(ad.Var(rng.uniform(-2, 3))).data)
         zeta = np.tanh(c / (beta * np.log(np.e + (1 - sigmoid(c)) * deltas)))
         assert (np.diff(np.abs(zeta)) <= 0).all()
 
@@ -445,20 +473,21 @@ def attention_oracle(hidden, timestamps, p, time_aware=True):
     return alpha @ hidden, alpha
 
 
-def attend(hidden, timestamps, p, time_aware=True):
+def attend(hidden, timestamps, store, time_aware=True, n=0):
     """One case's (T, d) states and (T,) timestamps through the batched
-    attention: ((d,) summary, (T,) weights) as arrays."""
+    attention with channel n's weights: ((d,) summary, (T,) weights) as
+    arrays."""
     ts = np.asarray(timestamps, dtype=np.float64)
     f, alpha = emb.time_aware_attention_batch(ad.Var(np.asarray(hidden)[None, None]),
-                                              (ts[-1] - ts)[None], [p], time_aware)
+                                              (ts[-1] - ts)[None], one_channel(store, n),
+                                              time_aware)
     return f.data[0, 0], alpha.data[0, 0]
 
 
 def test_attention_single_visit_is_identity():
     store = channel_store(d=5, seed=9)
-    p = emb.channel_leaves(store.leaves(), 0)
     hidden = np.random.default_rng(10).normal(size=(1, 5))
-    f, alpha = attend(hidden, [0.0], p)
+    f, alpha = attend(hidden, [0.0], store)
     npt.assert_array_equal(alpha, [1.0])
     npt.assert_allclose(f, hidden[0], atol=1e-15)
 
@@ -466,13 +495,13 @@ def test_attention_single_visit_is_identity():
 def test_attention_matches_loop_oracle():
     rng = np.random.default_rng(11)
     store = channel_store(d=6, seed=12)
-    p = emb.channel_leaves(store.leaves(), 0)
+    p = channel(store.leaves(), 0)
     store.value("channel0.attn.beta_raw")[...] = 0.4
     for _ in range(20):
         t_len = int(rng.integers(1, 9))
         hidden = rng.normal(size=(t_len, 6))
         ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 30, t_len - 1))])
-        f, alpha = attend(hidden, ts, p)
+        f, alpha = attend(hidden, ts, store)
         f_ref, alpha_ref = attention_oracle(hidden, ts, p)
         npt.assert_allclose(alpha, alpha_ref, atol=1e-12, rtol=0)
         npt.assert_allclose(f, f_ref, atol=1e-12, rtol=0)
@@ -480,12 +509,11 @@ def test_attention_matches_loop_oracle():
 
 def test_attention_weights_form_distribution():
     store = channel_store(d=4, seed=13)
-    p = emb.channel_leaves(store.leaves(), 0)
     rng = np.random.default_rng(14)
     hidden = rng.normal(size=(7, 4))
     ts = np.cumsum(rng.uniform(0.1, 20, 7)) - 0.1
     ts[0] = 0.0
-    _, alpha = attend(hidden, ts, p)
+    _, alpha = attend(hidden, ts, store)
     assert (alpha >= 0).all()
     assert abs(alpha.sum() - 1.0) < 1e-12
 
@@ -493,23 +521,21 @@ def test_attention_weights_form_distribution():
 def test_zero_projections_give_uniform_attention():
     store = channel_store(d=4, seed=15)
     store.value("channel0.attn.W_q")[...] = 0.0
-    p = emb.channel_leaves(store.leaves(), 0)
     hidden = np.random.default_rng(16).normal(size=(5, 4))
-    _, alpha = attend(hidden, [0.0, 1.0, 2.0, 3.0, 4.0], p)
+    _, alpha = attend(hidden, [0.0, 1.0, 2.0, 3.0, 4.0], store)
     npt.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
 
 
 def test_time_aware_false_ignores_timestamps():
     store = channel_store(d=5, seed=17)
-    p = emb.channel_leaves(store.leaves(), 0)
     hidden = np.random.default_rng(18).normal(size=(6, 5))
     near = np.arange(6.0)
     far = np.arange(6.0) * 50.0
-    f1, a1 = attend(hidden, near, p, time_aware=False)
-    f2, a2 = attend(hidden, far, p, time_aware=False)
+    f1, a1 = attend(hidden, near, store, time_aware=False)
+    f2, a2 = attend(hidden, far, store, time_aware=False)
     npt.assert_array_equal(a1, a2)
     npt.assert_array_equal(f1, f2)
-    _, a3 = attend(hidden, far, p, time_aware=True)
+    _, a3 = attend(hidden, far, store, time_aware=True)
     assert not np.array_equal(a1, a3)
 
 
@@ -539,41 +565,40 @@ def make_case(n_feat, t_len, n_base, seed):
                        rng.normal(size=(n_feat, t_len)), 1)
 
 
-def build_feature_matrix(case, lv, n_features, time_aware=True):
+def build_feature_matrix(case, store, n_features, time_aware=True):
     """One case's (N+1, d) rows, as ``forward_batch`` stacks them before the
     encoder (N attention summaries, then the baseline embedding), and its N
     attention weight rows."""
-    channels = [emb.channel_leaves(lv, n) for n in range(n_features)]
+    w_emb = store.leaf("baseline.W_emb")
+    channels = emb.channel_leaves(store, n_features, w_emb.shape[0])
     hidden = emb.gru_forward_batch(case.records[None], channels)
     delta = (case.timestamps[-1] - case.timestamps)[None, :]
     f, alpha = emb.time_aware_attention_batch(hidden, delta, channels, time_aware)
-    base = emb.embed_baseline_batch(case.baseline[None], lv["baseline.W_emb"])
+    base = emb.embed_baseline_batch(case.baseline[None], w_emb)
     rows = ad.concat([ad.reshape(f, (n_features, f.shape[2])), base], axis=0)
     return rows, list(alpha.data[:, 0])
 
 
 def test_feature_matrix_rows_match_components():
     store = channel_store(d=5, n_channels=3, with_baseline=2, seed=20)
-    lv = store.leaves()
     case = make_case(3, 4, 2, seed=21)
-    f_mat, alphas = build_feature_matrix(case, lv, 3)
+    f_mat, alphas = build_feature_matrix(case, store, 3)
     assert f_mat.shape == (4, 5)
     assert len(alphas) == 3
     for n in range(3):
-        p = emb.channel_leaves(lv, n)
-        hidden = emb.gru_forward_batch(case.records[n][None, None], [p]).data[0, 0]
-        f, alpha = attend(hidden, case.timestamps, p)
+        hidden = emb.gru_forward_batch(case.records[n][None, None],
+                                       one_channel(store, n)).data[0, 0]
+        f, alpha = attend(hidden, case.timestamps, store, n=n)
         npt.assert_allclose(f_mat.data[n], f, atol=1e-12, rtol=0)
         npt.assert_allclose(alphas[n], alpha, atol=1e-12, rtol=0)
-    base = emb.embed_baseline_batch(case.baseline[None], lv["baseline.W_emb"])
+    base = emb.embed_baseline_batch(case.baseline[None], store.leaf("baseline.W_emb"))
     npt.assert_allclose(f_mat.data[3], base.data[0], atol=1e-15)
 
 
 def test_channels_have_independent_gradients():
     store = channel_store(d=4, n_channels=3, with_baseline=2, seed=22)
-    lv = store.leaves()
     case = make_case(3, 5, 2, seed=23)
-    f_mat, _ = build_feature_matrix(case, lv, 3)
+    f_mat, _ = build_feature_matrix(case, store, 3)
     store.zero_grad()
     ad.vsum(f_mat[1]).backward()  # depends on channel 1 and nothing else
     for name, _ in store.items():
@@ -591,7 +616,7 @@ def test_embedding_gradients_match_finite_differences():
     w = rng.normal(size=(3, 4))
 
     def loss(s):
-        f_mat, _ = build_feature_matrix(case, s.leaves(), 2)
+        f_mat, _ = build_feature_matrix(case, s, 2)
         return ad.vsum(f_mat * w)
 
     errs = grad_check(loss, store, h=3e-5)

@@ -21,10 +21,16 @@ from carelens import autodiff as ad
 from carelens.data import (Dataset, PatientCase, apply_normalization,
                            fit_normalization)
 from carelens.context import decorrelation_total
+from carelens.embedding import channel_leaves
 from carelens.head import PROB_CLAMP, cross_entropy
 from carelens.model import (FittedModel, ModelConfig, forward_batch, init_params,
                             load_model, pad_cases, save_model, score_cases)
 from carelens.synthetic import SyntheticSpec, generate_synthetic
+
+
+def leaves(store, cfg):
+    """The ``lv`` and ``channels`` that ``forward_batch`` takes."""
+    return store.leaves(), channel_leaves(store, cfg.n_features, cfg.d)
 
 
 def tiny_config(**kw):
@@ -116,7 +122,7 @@ def test_forward_outputs_are_clamped_probabilities():
     cfg = tiny_config()
     store = init_params(cfg, 3)
     records, delta, baseline, _, _ = pad_cases(make_cases(6, 4, cfg, seed=4))
-    prob, decorr, trace = forward_batch(store.leaves(), records, delta,
+    prob, decorr, trace = forward_batch(*leaves(store, cfg), records, delta,
                                         baseline, cfg)
     assert prob.shape == (6,)
     assert (prob.data >= PROB_CLAMP).all()
@@ -130,10 +136,10 @@ def test_batched_forward_matches_single_case_runs():
     store = init_params(cfg, 5)
     cases = make_cases(5, 6, cfg, seed=6)
     records, delta, baseline, _, _ = pad_cases(cases)
-    prob, _, _ = forward_batch(store.leaves(), records, delta, baseline, cfg)
+    prob, _, _ = forward_batch(*leaves(store, cfg), records, delta, baseline, cfg)
     for b, c in enumerate(cases):
         r1, d1, b1, _, _ = pad_cases([c])
-        p1, _, _ = forward_batch(store.leaves(), r1, d1, b1, cfg)
+        p1, _, _ = forward_batch(*leaves(store, cfg), r1, d1, b1, cfg)
         assert abs(float(p1.data[0]) - prob.data[b]) < 1e-10
 
 
@@ -141,7 +147,7 @@ def test_trace_shapes_and_distributions():
     cfg = tiny_config()
     store = init_params(cfg, 7)
     records, delta, baseline, _, _ = pad_cases(make_cases(3, 5, cfg, seed=8))
-    _, _, trace = forward_batch(store.leaves(), records, delta, baseline, cfg,
+    _, _, trace = forward_batch(*leaves(store, cfg), records, delta, baseline, cfg,
                                 collect_trace=True)
     assert len(trace["ta_alphas"]) == cfg.n_features
     for a in trace["ta_alphas"]:
@@ -699,7 +705,7 @@ def run_chunk(store, cfg, cases, loss_rows=None):
     cross-entropy."""
     records, delta, baseline, labels, keep = pad_cases(cases)
     store.zero_grad()
-    prob, _, trace = forward_batch(store.leaves(), records, delta, baseline,
+    prob, _, trace = forward_batch(*leaves(store, cfg), records, delta, baseline,
                                    cfg, collect_trace=True, keep=keep)
     grads = None
     if loss_rows is not None:
@@ -826,7 +832,7 @@ def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatc
     shapes = []
 
     def spy(*args, **kw):
-        shapes.append(args[1].shape)
+        shapes.append(args[2].shape)
         assert not ad.grad_enabled()
         return forward_batch(*args, **kw)
 
@@ -907,9 +913,9 @@ def test_no_inference_chunk_computes_the_covariance_penalty(monkeypatch):
     fitted.trace_cases(ds)
     records, delta, baseline, _, keep = pad_cases(cases)
     with ad.no_grad():
-        _, decorr, _ = forward_batch(store.leaves(), records, delta, baseline,
+        _, decorr, _ = forward_batch(*leaves(store, cfg), records, delta, baseline,
                                      cfg, keep=keep)
     assert decorr is None and calls == []
-    _, decorr, _ = forward_batch(store.leaves(), records, delta, baseline, cfg,
+    _, decorr, _ = forward_batch(*leaves(store, cfg), records, delta, baseline, cfg,
                                  keep=keep)
     assert calls == [True] and decorr.data >= 0

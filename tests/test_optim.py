@@ -33,6 +33,65 @@ def test_leaf_shares_gradient_buffer():
     npt.assert_array_equal(store.leaf("w").grad, [[0.0, 0.0]])
 
 
+def channel_like_store():
+    """Two channels of (w, b, scale) entries, then one unrelated entry."""
+    return make_store(**{"c0.w": [[1.0, 2.0], [3.0, 4.0]], "c0.b": [5.0, 6.0], "c0.s": 7.0,
+                         "c1.w": [[8.0, 9.0], [10.0, 11.0]], "c1.b": [12.0, 13.0],
+                         "c1.s": 14.0, "other": [15.0, 16.0]})
+
+
+def test_stacked_leaf_views_the_entries_both_ways():
+    store = channel_like_store()
+    w, s = store.stacked_leaf(["c0.w", "c1.w"]), store.stacked_leaf(["c0.s", "c1.s"])
+    assert w.shape == (2, 2, 2) and s.shape == (2,)
+    npt.assert_array_equal(w.data[1], store.value("c1.w"))
+    npt.assert_array_equal(s.data, [7.0, 14.0])
+    # a write through an entry's grad shows in the stacked grad
+    store.leaf("c1.w").grad[0, 1] = 2.5
+    assert w.grad[1, 0, 1] == 2.5 and not w.grad[0].any()
+    # backward through the stacked leaf lands in the entries' grads
+    ad.vsum(w * np.arange(8.0).reshape(2, 2, 2)).backward()
+    npt.assert_array_equal(store.leaf("c0.w").grad, [[0.0, 1.0], [2.0, 3.0]])
+    npt.assert_array_equal(store.leaf("c1.w").grad, [[4.0, 7.5], [6.0, 7.0]])
+    assert not store.leaf("c0.b").grad.any() and not store.leaf("other").grad.any()
+    # an Adam step on the store shows in the stacked data
+    adam_step(store, lr=0.5)
+    npt.assert_array_equal(w.data[0], store.value("c0.w"))
+    assert w.data[0, 0, 1] < 2.0 and s.data[0] == 7.0
+    store.zero_grad()
+    assert not w.grad.any()
+
+
+def test_stacked_leaf_of_one_entry():
+    store = channel_like_store()
+    b = store.stacked_leaf(["c1.b"])
+    assert b.shape == (1, 2)
+    npt.assert_array_equal(b.data, [[12.0, 13.0]])
+    ad.vsum(b * 3.0).backward()
+    npt.assert_array_equal(store.leaf("c1.b").grad, [3.0, 3.0])
+    assert store.stacked_leaf(["c0.s"]).shape == (1,)
+
+
+@pytest.mark.parametrize("names,odd", [
+    (["c0.w", "c1.b"], "['c1.b']"),                  # another shape
+    (["c0.w", "c1.w", "other"], "['other']"),        # another shape and step
+    (["c0.b", "c1.b", "c0.s"], "['c0.s']"),          # another shape and step
+    (["c0.s", "c1.s", "c1.s"], "['c1.s']"),          # the same entry twice
+    (["c1.w", "c0.w"], "['c1.w', 'c0.w']"),          # a step backwards
+    (["c0.s", "c0.s"], "['c0.s', 'c0.s']")])         # a step of zero
+def test_stacked_leaf_refuses_entries_it_cannot_view_by_name(names, odd):
+    with pytest.raises(ValueError, match=f"^parameters {re.escape(odd)} do not share"):
+        channel_like_store().stacked_leaf(names)
+
+
+def test_stacked_leaf_refuses_unequal_steps_by_name():
+    store = make_store(a=[1.0], b=[2.0], pad=[0.0], c=[3.0], d=[4.0])
+    assert store.stacked_leaf(["a", "b"]).shape == (2, 1)
+    with pytest.raises(ValueError, match=r"^parameters \['c', 'd'\] do not share the "
+                                         r"shape of 'a' at equal, positive steps after it$"):
+        store.stacked_leaf(["a", "b", "c", "d"])
+
+
 def test_adam_zero_gradient_leaves_values_unchanged():
     store = make_store(w=[1.5, -2.0], b=[[0.25]])
     before = store.snapshot()

@@ -143,6 +143,27 @@ def test_spec_validation_errors():
         generate_synthetic(SyntheticSpec(min_visits=5, max_visits=4))
 
 
+@pytest.mark.parametrize("field,value,rule", [
+    ("w_fast", float("nan"), "finite"), ("w_slow", float("inf"), "finite"),
+    ("w_int", -float("inf"), "finite"),
+    ("tau_fast", -5.0, "finite and above 0"), ("tau_slow", 0.0, "finite and above 0"),
+    ("tau_fast", float("inf"), "finite and above 0"),
+    ("mean_gap_hours", float("nan"), "finite and above 0")])
+def test_spec_refuses_weights_and_time_scales_that_are_not_finite(field, value, rule):
+    # a NaN weight gave a one-class cohort and a NaN threshold; tau_fast=-5
+    # gave records that were 47 % NaN
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, not {value!r}$"):
+        generate_synthetic(SyntheticSpec(n_cases=5, **{field: value}))
+
+
+def test_spec_validation_names_each_field_and_value():
+    with pytest.raises(ValueError, match=r"^n_cases must be at least 1, not 0$"):
+        SyntheticSpec(n_cases=0).validate()
+    with pytest.raises(ValueError, match=r"^min_visits must be in 1\.\.max_visits, not 5$"):
+        SyntheticSpec(min_visits=5, max_visits=4).validate()
+    SyntheticSpec(w_fast=0.0, w_slow=-2.0, w_int=0.0).validate()
+
+
 def test_manifest_records_ground_truth():
     spec = SyntheticSpec(n_cases=30, seed=1, interaction=[(1, 2)])
     _, man = generate_synthetic(spec)

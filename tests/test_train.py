@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ import pytest
 
 import carelens.model as model_mod
 import carelens.train as train_module
+from carelens import autodiff as ad
 from carelens.data import apply_normalization, fit_normalization
 from carelens.model import ModelConfig, init_params
 from carelens.synthetic import SyntheticSpec, generate_synthetic
@@ -221,6 +223,58 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
     TrainConfig().validate()
+    TrainConfig(max_epochs=0, lambda_decorr=0.0).validate()
+
+
+NON_FINITE_TRAIN = [
+    (dict(lr=float("nan")), "train config 'lr' must be finite and above 0, not nan"),
+    (dict(lr=float("inf")), "train config 'lr' must be finite and above 0, not inf"),
+    (dict(lr=-1.0), "train config 'lr' must be finite and above 0, not -1.0"),
+    (dict(lambda_decorr=float("inf")),
+     "train config 'lambda_decorr' must be finite and >= 0, not inf"),
+    (dict(lambda_decorr=float("nan")),
+     "train config 'lambda_decorr' must be finite and >= 0, not nan"),
+    (dict(max_epochs=-1), "train config 'max_epochs' must be at least 0, not -1")]
+
+
+@pytest.mark.parametrize("bad,why", NON_FINITE_TRAIN)
+def test_fit_and_cross_validate_refuse_a_bad_rate_before_any_step(monkeypatch, bad, why):
+    # a NaN or infinite lr used to pass, and the first Adam step wrote NaN
+    # into every weight before the loss check of the next batch tripped
+    steps = []
+    monkeypatch.setattr(train_module, "make_batches",
+                        lambda *a, **k: steps.append(a) or [])
+    ds = toy_dataset(n=24, seed=17)
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        fit(ds, ds.ids()[6:], ds.ids()[:6], quick_config(**bad))
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        cross_validate(ds, k=2, config=quick_config(**bad))
+    assert steps == []
+
+
+def test_a_training_step_runs_159_tape_nodes_at_the_benchmark_setup(monkeypatch):
+    """N=4, T=16, d=16, two heads: one graph over the stacked channel
+    weights.  Restacking the weights per channel made it 198."""
+    real = ad.Var.backward
+    counts = []
+
+    def count_then_backward(root):
+        seen, todo = set(), [root]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(node._parents)
+        counts.append(len(seen))
+        real(root)
+
+    monkeypatch.setattr(ad.Var, "backward", count_then_backward)
+    ds = toy_dataset(n=8, n_features=4, min_visits=16, max_visits=16)
+    config = TrainConfig(d=16, heads=2, batch_size=4, lr=1e-2)
+    store = init_params(config.model_config(ds), seed=0)
+    train_epoch(store, apply_normalization(ds, fit_normalization(ds, ds.ids())),
+                ds.ids(), config, 0)
+    assert counts == [159, 159]
 
 
 # -- split_train_val -------------------------------------------------------------

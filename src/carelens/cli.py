@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import load_dataset, save_dataset, typed
+from .data import Dataset, load_dataset, save_dataset, typed
 from .metrics import bootstrap_eval
 from .model import load_model, save_model
 from .synthetic import SyntheticSpec, generate_synthetic, save_manifest
@@ -94,9 +94,22 @@ def _write_resolved(out_dir: Path, command: str, opts: dict, **paths) -> None:
 
 
 def _out_dir(args) -> Path:
+    """``--out``, made only once a run has passed its checks and has its
+    results, so that a refused run leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_cases(path) -> Dataset:
+    """``load_dataset``, refused when it kept no case, naming the file, the
+    reject count and the first reject's reason."""
+    dataset = load_dataset(path)
+    if not dataset.cases:
+        n = len(dataset.rejects)
+        first = f"; the first: {dataset.rejects[0][1]}" if n else ""
+        raise CliError(f"{path}: no usable case, {n} rejected{first}")
+    return dataset
 
 
 def _interaction(pair) -> tuple[int, int]:
@@ -113,7 +126,6 @@ def _interaction(pair) -> tuple[int, int]:
 def cmd_generate(args) -> int:
     given, opts = _resolve(args, GENERATE_OPTS, GENERATE_TYPES)
     interaction = [_interaction(pair) for pair in opts["interaction"]]
-    out = _out_dir(args)
     profile = (None if not opts["profile"]
                else [p.strip() for p in opts["profile"].split(",")])
     spec = SyntheticSpec(
@@ -123,6 +135,7 @@ def cmd_generate(args) -> int:
         prevalence=opts["prevalence"], w_fast=opts["w_fast"],
         w_slow=opts["w_slow"], w_int=opts["w_int"])
     dataset, manifest = generate_synthetic(spec)
+    out = _out_dir(args)
     save_dataset(dataset, out / "dataset.jsonl")
     save_manifest(manifest, out / "manifest.json")
     _write_resolved(out, "generate", given, out=out)
@@ -134,13 +147,13 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     given, opts = _resolve(args, TRAIN_OPTS, TRAIN_TYPES)
-    out = _out_dir(args)
-    dataset = load_dataset(args.data)
+    dataset = _load_cases(args.data)
     config = TrainConfig(**opts)
     train_ids, val_ids = split_train_val(
         dataset.ids(), dataset.labels(), config.val_fraction,
         _derive_seed(config.seed, 9))
     model = fit(dataset, train_ids, val_ids, config)
+    out = _out_dir(args)
     save_model(model, out / "model.json")
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in model.log:
@@ -168,12 +181,12 @@ def cmd_eval(args) -> int:
     if opts["bootstrap"] < 1:
         raise CliError("option 'bootstrap' must be at least 1, "
                        f"got {opts['bootstrap']}")
-    out = _out_dir(args)
     model = load_model(args.model)
-    dataset = load_dataset(args.data)
+    dataset = _load_cases(args.data)
     scores, labels = model.score(dataset)
     report = bootstrap_eval(scores, labels, opts["bootstrap"], opts["seed"])
     scored = _case_counts(labels, dataset)
+    out = _out_dir(args)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,
                   sort_keys=True)
@@ -187,9 +200,9 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     given, opts = _resolve(args, CV_OPTS, CV_TYPES)
     k = opts.pop("k")
-    out = _out_dir(args)
-    dataset = load_dataset(args.data)
+    dataset = _load_cases(args.data)
     report = cross_validate(dataset, k, TrainConfig(**opts))
+    out = _out_dir(args)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -215,9 +228,8 @@ def _parse_filters(pairs: list[str]) -> list[tuple[str, float]]:
 def cmd_inspect(args) -> int:
     _, opts = _resolve(args, INSPECT_OPTS, INSPECT_TYPES)
     filters = _parse_filters(args.filter or [])
-    out = _out_dir(args)
     model = load_model(args.model)
-    dataset = load_dataset(args.data)
+    dataset = _load_cases(args.data)
     model.check_compatible(dataset)
     selected = dataset.cases
     for key, val in filters:
@@ -231,6 +243,7 @@ def cmd_inspect(args) -> int:
     if not selected:
         raise CliError("filter matched no cases")
     ids = [c.id for c in selected]
+    out = _out_dir(args)
 
     with open(out / "decay_rates.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

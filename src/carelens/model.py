@@ -218,10 +218,12 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
     depends only on ``item`` and what the fork copied, its output has the
     same bits in whichever process runs it.
 
-    The children are always reaped, also when this raises.  Every read end
-    is closed before the first ``waitpid``, so a child still writing gets
-    ``BrokenPipeError`` and exits.  A child's exception is raised here with
-    its type and message; a child killed by a signal raises RuntimeError.
+    The children are always reaped, also when this raises; when this
+    process's own share raises, each child gets SIGTERM first, so the error
+    does not wait for their shares.  Every read end is closed before the
+    first ``waitpid``, so a child still writing gets ``BrokenPipeError`` and
+    exits.  A child's exception is raised here with its type and message; a
+    child killed by a signal raises RuntimeError.
     """
     global _sharing
     procs = _processes(len(items) // per_process)
@@ -251,6 +253,10 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGTERM)
+        raise
     finally:
         _sharing = False
         for _, fd in children:
@@ -379,9 +385,8 @@ def save_model(model: FittedModel, path) -> None:
         "baseline_names": model.baseline_names,
         "normalization": (None if model.normalization is None
                           else model.normalization.to_json()),
-        "params": {name: {"shape": list(e.value.shape),
-                          "data": e.value.ravel().tolist()}
-                   for name, e in model.store.items()},
+        "params": {name: {"shape": list(leaf.shape), "data": leaf.data.ravel().tolist()}
+                   for name, leaf in model.store.leaves().items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

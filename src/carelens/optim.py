@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -17,17 +16,9 @@ ParamDecl = tuple[str, tuple[int, ...], Callable[[tuple[int, ...]], np.ndarray]]
 
 def uniform_init(rng: np.random.Generator | None,
                  fan_in: int) -> Callable[[tuple[int, ...]], np.ndarray]:
-    """An init that draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return lambda shape: rng.uniform(-bound, bound, shape)
-
-
-@dataclass
-class ParamEntry:
-    value: np.ndarray
-    grad: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
+    """An init that draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); the bound is
+    computed by the draw, so a layout read only for its names costs no sqrt."""
+    return lambda shape: rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), shape)
 
 
 _FIELDS = ("value", "grad", "adam_m", "adam_v")
@@ -38,10 +29,11 @@ class ParamStore:
 
     Built once from (name, value) pairs.  Values, gradients and both Adam
     moments each live in one contiguous float64 buffer, in the order of the
-    pairs; every entry's fields are views into those buffers, so whole-store
-    updates are a few numpy calls.  ``leaf`` and ``stacked_leaf`` hand out
-    graph nodes whose gradients are views of the store's, so ``backward()``
-    accumulates straight into it.  One Adam step count serves every entry.
+    pairs, so whole-store updates are a few numpy calls.  Each parameter is
+    one leaf, made here once, whose data and gradient view those buffers, so
+    ``backward()`` accumulates straight into the store and every graph sees
+    what ``restore`` or ``adam_step`` writes.  One Adam step count serves
+    every entry.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -53,40 +45,24 @@ class ParamStore:
         starts = list(accumulate((v.size for v in values.values()), initial=0))
         self._bufs = {f: np.zeros(starts[-1]) for f in _FIELDS}
         self._starts = dict(zip(values, starts))    # each entry's offset in the buffers
-        self._entries: dict[str, ParamEntry] = {}
+        self._leaves: dict[str, Var] = {}
         for (name, v), start in zip(values.items(), starts):
-            e = ParamEntry(*(self._bufs[f][start:start + v.size].reshape(v.shape)
-                             for f in _FIELDS))
-            e.value[...] = v
-            self._entries[name] = e
+            value, grad = (self._bufs[f][start:start + v.size].reshape(v.shape)
+                           for f in ("value", "grad"))
+            value[...] = v
+            self._leaves[name] = Var(value, grad=grad)
         self.step_count = 0
 
     def flat(self, field: str) -> np.ndarray:
         """The whole ``value``, ``grad``, ``adam_m`` or ``adam_v`` buffer."""
         return self._bufs[field]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def value(self, name: str) -> np.ndarray:
-        return self._entries[name].value
-
-    def items(self) -> Iterator[tuple[str, ParamEntry]]:
-        return iter(self._entries.items())
-
-    def leaf(self, name: str) -> Var:
-        e = self._entries[name]
-        return Var(e.value, grad=e.grad)
-
     def stacked_leaf(self, names: list[str]) -> Var:
         """A (len(names), *shape) leaf viewing entries of one shape at equal steps."""
-        first, at = self._entries[names[0]].value, [self._starts[n] for n in names]
+        first, at = self._leaves[names[0]].data, [self._starts[n] for n in names]
         step = at[1] - at[0] if len(names) > 1 else first.size
         odd = [n for i, n in enumerate(names)
-               if self._entries[n].value.shape != first.shape or at[i] != at[0] + i * step]
+               if self._leaves[n].shape != first.shape or at[i] != at[0] + i * step]
         if odd or step < 1:
             raise ValueError(f"parameters {odd or names} do not share the shape of "
                              f"'{names[0]}' at equal, positive steps after it")
@@ -97,7 +73,8 @@ class ParamStore:
         return Var(value, grad=grad)
 
     def leaves(self) -> dict[str, Var]:
-        return {name: self.leaf(name) for name in self._entries}
+        """Every parameter's leaf by name: the same leaves each call, in a new dict."""
+        return dict(self._leaves)
 
     def zero_grad(self) -> None:
         self.flat("grad")[...] = 0.0
@@ -121,7 +98,8 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     """
     g = store.flat("grad")
     if not np.isfinite(g).all():
-        name = next(n for n, e in store.items() if not np.isfinite(e.grad).all())
+        name = next(n for n, leaf in store.leaves().items()
+                    if not np.isfinite(leaf.grad).all())
         raise ValueError(f"non-finite gradient for parameter '{name}'")
     store.step_count += 1
     t = store.step_count
@@ -145,17 +123,18 @@ def grad_check(loss_fn: Callable[[ParamStore], Var], store: ParamStore,
     store.zero_grad()
     loss = loss_fn(store)
     loss.backward()
-    analytic = {name: e.grad.copy() for name, e in store.items()}
+    leaves = store.leaves()
+    analytic = {name: leaf.grad.copy() for name, leaf in leaves.items()}
     errs: dict[str, float] = {}
-    for name, e in store.items():
+    for name, leaf in leaves.items():
         worst = 0.0
-        for idx in np.ndindex(e.value.shape):
-            orig = e.value[idx]
-            e.value[idx] = orig + h
+        for idx in np.ndindex(leaf.shape):
+            orig = leaf.data[idx]
+            leaf.data[idx] = orig + h
             lp = float(loss_fn(store).data)
-            e.value[idx] = orig - h
+            leaf.data[idx] = orig - h
             lm = float(loss_fn(store).data)
-            e.value[idx] = orig
+            leaf.data[idx] = orig
             num = (lp - lm) / (2.0 * h)
             a = float(analytic[name][idx])
             worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-8))

@@ -161,7 +161,7 @@ def test_train_refuses_a_bad_rate_with_one_json_line(tmp_path, capsys, flag, val
     key = flag[2:].replace("-", "_")
     assert err.count("\n") == 1 and "RuntimeWarning" not in err
     assert json.loads(err)["error"].startswith(f"ValueError: train config '{key}' must be")
-    assert not (tmp_path / "run" / "model.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--w-fast", "nan"), ("--w-slow", "inf")])
@@ -172,7 +172,7 @@ def test_generate_refuses_a_weight_that_is_not_finite(tmp_path, capsys, flag, va
     key = flag[2:].replace("-", "_")
     assert json.loads(err) == {"error": f"ValueError: {key} must be finite, "
                                         f"not {float(value)!r}"}
-    assert not (tmp_path / "gen" / "dataset.jsonl").exists()
+    assert not (tmp_path / "gen").exists()
 
 
 def test_eval_writes_report(tmp_path, capsys):
@@ -221,6 +221,7 @@ def test_eval_rejects_mismatched_features(tmp_path, capsys):
                        "--data", str(other / "dataset.jsonl"))
     assert code == 1
     assert "mismatch" in json.loads(err.strip())["error"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_cv_writes_fold_replicates(tmp_path, capsys):
@@ -331,6 +332,39 @@ def test_inspect_empty_filter_is_usage_error(tmp_path, capsys):
                        "--filter", "label=1", "--filter", "label=0")
     assert code == 2
     assert "matched no cases" in json.loads(err.strip())["error"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv", "inspect"])
+def test_a_cohort_with_every_case_rejected_is_refused_naming_it(tmp_path, capsys,
+                                                               command):
+    # each command used to fail later, on an empty split, fold or filter
+    data = gen_dir(tmp_path, capsys, cases=60)
+    run_dir = train_dir(tmp_path, capsys, data, extra=("--max-epochs", "0"))
+    path = data / "dataset.jsonl"
+    header, *cases = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [json.dumps(dict(json.loads(c), label=2))
+                                          for c in cases]) + "\n")
+    rejects = load_dataset(path).rejects
+    assert len(rejects) == 60
+    model = ("--model", str(run_dir / "model.json")) if command in ("eval",
+                                                                    "inspect") else ()
+    code, _, err = run(capsys, command, "--out", str(tmp_path / "x"),
+                       "--data", str(path), *model)
+    assert code == 2
+    assert json.loads(err) == {"error": f"{path}: no usable case, 60 rejected; "
+                                        f"the first: {rejects[0][1]}"}
+    assert "label must be the integer 0 or 1, got 2" in rejects[0][1]
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_cohort_with_no_case_is_refused_naming_it(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps({"feature_names": ["a"], "baseline_names": ["b"]}) + "\n")
+    code, _, err = run(capsys, "cv", "--out", str(tmp_path / "x"), "--data", str(path))
+    assert code == 2
+    assert json.loads(err) == {"error": f"{path}: no usable case, 0 rejected"}
+    assert not (tmp_path / "x").exists()
 
 
 def test_inspect_unknown_filter_key(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_mha_single_position_attends_to_itself():
 
 def test_mha_zero_queries_average_values():
     store = encoder_store(4, 1, seed=6)
-    store.value("encoder.head0.W_q")[...] = 0.0
+    store.leaves()["encoder.head0.W_q"].data[...] = 0.0
     heads, _ = ctx.encoder_leaves(store.leaves(), 1)
     feats = np.random.default_rng(7).normal(size=(3, 4))
     u, attns = ctx.multi_head_attention(ad.Var(feats), heads)
@@ -235,7 +235,7 @@ def test_pooled_penalty_is_bitwise_the_two_dimensional_form(shape):
 
 def test_decorrelation_gradients():
     store = ParamStore([("u", np.random.default_rng(17).normal(size=(4, 3)))])
-    errs = grad_check(lambda s: cov_penalty(s.leaf("u")), store,
+    errs = grad_check(lambda s: cov_penalty(s.leaves()["u"]), store,
                       h=1e-5)
     assert errs["u"] < 1e-6
 
@@ -245,11 +245,12 @@ def test_decorrelation_gradients():
 
 def test_feed_forward_matches_direct_formula():
     store = encoder_store(4, 2, d_ff=6, seed=18)
-    _, p = ctx.encoder_leaves(store.leaves(), 2)
+    lv = store.leaves()
+    _, p = ctx.encoder_leaves(lv, 2)
     x = np.random.default_rng(19).normal(size=(3, 4))
     got = ctx.feed_forward(ad.Var(x), p).data
-    w1, b1 = store.value("encoder.ffn.W_1"), store.value("encoder.ffn.b_1")
-    w2, b2 = store.value("encoder.ffn.W_2"), store.value("encoder.ffn.b_2")
+    w1, b1 = lv["encoder.ffn.W_1"].data, lv["encoder.ffn.b_1"].data
+    w2, b2 = lv["encoder.ffn.W_2"].data, lv["encoder.ffn.b_2"].data
     want = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
     npt.assert_allclose(got, want, atol=1e-13)
 
@@ -258,7 +259,7 @@ def test_encode_zero_weights_reduce_to_double_norm():
     store = encoder_store(5, 1, seed=20)
     for name in ("encoder.head0.W_v", "encoder.W_O", "encoder.ffn.W_1",
                  "encoder.ffn.W_2"):
-        store.value(name)[...] = 0.0
+        store.leaves()[name].data[...] = 0.0
     feats = np.random.default_rng(21).normal(size=(3, 5))
     out, _, _ = ctx.encode(ad.Var(feats), store.leaves(), 1)
     ones, zeros = np.ones(5), np.zeros(5)

@@ -40,7 +40,7 @@ def channel_list(store, n_channels):
 def one_channel(store, n=0):
     """Channel n alone, as the (1, ...) stacked leaves the batched ops take."""
     return {name.rsplit(".", 1)[1]: store.stacked_leaf([name])
-            for name, _ in store.items() if name.startswith(f"channel{n}.")}
+            for name in store.leaves() if name.startswith(f"channel{n}.")}
 
 
 def sigmoid(x):
@@ -95,9 +95,9 @@ def composed_gru_forward_batch(records, channels, keep=None):
 
 def test_gru_zero_parameters_give_zero_states():
     store = channel_store(d=5)
-    for name, _ in store.items():
+    for name, leaf in store.leaves().items():
         if ".gru." in name:
-            store.value(name)[...] = 0.0
+            leaf.data[...] = 0.0
     hidden = emb.gru_forward_batch(np.array([[[1.0, -2.0, 3.5]]]), one_channel(store))
     npt.assert_array_equal(hidden.data[0, 0], np.zeros((3, 5)))
 
@@ -191,7 +191,7 @@ def full_loss_grads(cfg, store, records, delta, baseline, labels):
                                               baseline, cfg, collect_trace=True)
     (cross_entropy(prob, labels) + decorr).backward()
     return (prob.data, trace["ta_alphas"],
-            {n: e.grad.copy() for n, e in store.items()})
+            {n: leaf.grad.copy() for n, leaf in store.leaves().items()})
 
 
 def assert_same_outputs(got, want):
@@ -214,9 +214,9 @@ def randomize_gru_biases(store, seed):
     """At init the GRU biases are 0, which would hide the order of the
     adds they enter and leave a pad step's state at 0."""
     rng = np.random.default_rng(seed)
-    for name, e in store.items():
+    for name, leaf in store.leaves().items():
         if ".gru.b_" in name:
-            e.value[...] = rng.normal(size=e.value.shape)
+            leaf.data[...] = rng.normal(size=leaf.shape)
 
 
 @pytest.mark.parametrize("n_feat,b_size,t_len,d", FUSED_SHAPES)
@@ -335,7 +335,7 @@ def test_stepwise_input_projection_is_bitwise_the_precomputed_one(monkeypatch, n
             graph_free, _, _ = model.forward_batch(*model_leaves(store, cfg), records,
                                                    delta, baseline, cfg, keep=keep)
         return (prob.data, trace["ta_alphas"], graph_free.data,
-                {n: e.grad.copy() for n, e in store.items()})
+                {n: leaf.grad.copy() for n, leaf in store.leaves().items()})
 
     got = outputs()
     monkeypatch.setattr(model, "gru_forward_batch", lambda records, _, keep=None:
@@ -369,9 +369,9 @@ def test_batched_attention_is_bitwise_the_per_channel_loop(monkeypatch, n_feat,
 
 def test_masked_gru_holds_pad_states_at_positive_zero():
     store = channel_store(d=5, n_channels=2, seed=9)
-    for name, e in store.items():
+    for name, leaf in store.leaves().items():
         if ".gru.b_" in name:       # nonzero, so a pad step would move h
-            e.value[...] = np.random.default_rng(10).normal(size=e.value.shape)
+            leaf.data[...] = np.random.default_rng(10).normal(size=leaf.shape)
     channels = emb.channel_leaves(store, 2, 5)
     rng = np.random.default_rng(11)
     records = rng.normal(size=(3, 2, 6))
@@ -389,7 +389,7 @@ def test_masked_gru_holds_pad_states_at_positive_zero():
 
 def test_gru_saturated_update_gate_freezes_state():
     store = channel_store(d=3, seed=6)
-    store.value("channel0.gru.b_z")[...] = -50.0  # z ~ 0 everywhere
+    store.leaves()["channel0.gru.b_z"].data[...] = -50.0  # z ~ 0 everywhere
     hidden = emb.gru_forward_batch(np.array([[[1.0, 2.0, 3.0]]]),
                                    one_channel(store)).data[0, 0]
     npt.assert_allclose(hidden[1], hidden[0], atol=1e-20)
@@ -401,7 +401,7 @@ def test_gru_saturated_update_gate_freezes_state():
 
 def test_effective_beta_is_one_at_init():
     store = channel_store(d=3)
-    beta = emb.effective_beta(store.leaf("channel0.attn.beta_raw"))
+    beta = emb.effective_beta(store.leaves()["channel0.attn.beta_raw"])
     assert abs(float(beta.data) - 1.0) < 1e-12
     assert abs(float(emb.effective_beta(ad.Var(emb.BETA_RAW_INIT)).data) - 1.0) < 1e-12
 
@@ -496,7 +496,7 @@ def test_attention_matches_loop_oracle():
     rng = np.random.default_rng(11)
     store = channel_store(d=6, seed=12)
     p = channel(store.leaves(), 0)
-    store.value("channel0.attn.beta_raw")[...] = 0.4
+    store.leaves()["channel0.attn.beta_raw"].data[...] = 0.4
     for _ in range(20):
         t_len = int(rng.integers(1, 9))
         hidden = rng.normal(size=(t_len, 6))
@@ -520,7 +520,7 @@ def test_attention_weights_form_distribution():
 
 def test_zero_projections_give_uniform_attention():
     store = channel_store(d=4, seed=15)
-    store.value("channel0.attn.W_q")[...] = 0.0
+    store.leaves()["channel0.attn.W_q"].data[...] = 0.0
     hidden = np.random.default_rng(16).normal(size=(5, 4))
     _, alpha = attend(hidden, [0.0, 1.0, 2.0, 3.0, 4.0], store)
     npt.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
@@ -544,11 +544,10 @@ def test_time_aware_false_ignores_timestamps():
 
 def test_baseline_embed_is_linear_matvec():
     store = channel_store(d=4, with_baseline=3, seed=19)
-    w = store.leaf("baseline.W_emb")
+    w = store.leaves()["baseline.W_emb"]
     base = np.array([1.5, 0.0, 1.0])
     out = emb.embed_baseline_batch(base[None], w).data[0]
-    npt.assert_allclose(out, store.value("baseline.W_emb") @ base,
-                        atol=1e-15)
+    npt.assert_allclose(out, w.data @ base, atol=1e-15)
     npt.assert_array_equal(emb.embed_baseline_batch(np.zeros((1, 3)), w).data[0],
                            np.zeros(4))
     twice = emb.embed_baseline_batch(2.0 * base[None], w).data[0]
@@ -569,7 +568,7 @@ def build_feature_matrix(case, store, n_features, time_aware=True):
     """One case's (N+1, d) rows, as ``forward_batch`` stacks them before the
     encoder (N attention summaries, then the baseline embedding), and its N
     attention weight rows."""
-    w_emb = store.leaf("baseline.W_emb")
+    w_emb = store.leaves()["baseline.W_emb"]
     channels = emb.channel_leaves(store, n_features, w_emb.shape[0])
     hidden = emb.gru_forward_batch(case.records[None], channels)
     delta = (case.timestamps[-1] - case.timestamps)[None, :]
@@ -591,7 +590,7 @@ def test_feature_matrix_rows_match_components():
         f, alpha = attend(hidden, case.timestamps, store, n=n)
         npt.assert_allclose(f_mat.data[n], f, atol=1e-12, rtol=0)
         npt.assert_allclose(alphas[n], alpha, atol=1e-12, rtol=0)
-    base = emb.embed_baseline_batch(case.baseline[None], store.leaf("baseline.W_emb"))
+    base = emb.embed_baseline_batch(case.baseline[None], store.leaves()["baseline.W_emb"])
     npt.assert_allclose(f_mat.data[3], base.data[0], atol=1e-15)
 
 
@@ -601,8 +600,8 @@ def test_channels_have_independent_gradients():
     f_mat, _ = build_feature_matrix(case, store, 3)
     store.zero_grad()
     ad.vsum(f_mat[1]).backward()  # depends on channel 1 and nothing else
-    for name, _ in store.items():
-        g = store.leaf(name).grad
+    for name, leaf in store.leaves().items():
+        g = leaf.grad
         if name.startswith("channel1."):
             assert np.abs(g).max() > 0.0
         elif name.startswith("channel"):

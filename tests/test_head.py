@@ -33,11 +33,11 @@ def test_final_attention_matches_loop_oracle():
     rng = np.random.default_rng(1)
     store = head_store(d=5, n_features=3, seed=2)
     lv = store.leaves()
-    wk = store.value("head.W_k")
+    wk = lv["head.W_k"].data
     for _ in range(20):
         fstar = rng.normal(size=(4, 5))
         summary, alpha = head.final_attention(ad.Var(fstar[None]), lv)
-        s_ref, a_ref = final_oracle(fstar, store.value("head.W_q_base"),
+        s_ref, a_ref = final_oracle(fstar, lv["head.W_q_base"].data,
                                     [wk] * 4)
         npt.assert_allclose(alpha.data[0], a_ref, atol=1e-12, rtol=0)
         npt.assert_allclose(summary.data[0], s_ref, atol=1e-12, rtol=0)
@@ -49,8 +49,8 @@ def test_per_position_keys_match_loop_oracle():
     fstar = np.random.default_rng(4).normal(size=(3, 4))
     summary, alpha = head.final_attention(ad.Var(fstar[None]), lv,
                                           per_position_keys=True)
-    mats = [store.value(f"head.W_k_{i}") for i in range(3)]
-    s_ref, a_ref = final_oracle(fstar, store.value("head.W_q_base"), mats)
+    mats = [lv[f"head.W_k_{i}"].data for i in range(3)]
+    s_ref, a_ref = final_oracle(fstar, lv["head.W_q_base"].data, mats)
     npt.assert_allclose(alpha.data[0], a_ref, atol=1e-12, rtol=0)
     npt.assert_allclose(summary.data[0], s_ref, atol=1e-12, rtol=0)
 
@@ -58,9 +58,10 @@ def test_per_position_keys_match_loop_oracle():
 def test_per_position_keys_equal_shared_when_tied():
     shared = head_store(d=4, n_features=2, seed=5)
     tied = head_store(d=4, n_features=2, per_position_keys=True, seed=5)
+    tied_lv, shared_lv = tied.leaves(), shared.leaves()
     for i in range(3):
-        tied.value(f"head.W_k_{i}")[...] = shared.value("head.W_k")
-    tied.value("head.W_q_base")[...] = shared.value("head.W_q_base")
+        tied_lv[f"head.W_k_{i}"].data[...] = shared_lv["head.W_k"].data
+    tied_lv["head.W_q_base"].data[...] = shared_lv["head.W_q_base"].data
     fstar = np.random.default_rng(6).normal(size=(3, 4))
     s1, a1 = head.final_attention(ad.Var(fstar[None]), shared.leaves())
     s2, a2 = head.final_attention(ad.Var(fstar[None]), tied.leaves(),
@@ -71,7 +72,7 @@ def test_per_position_keys_equal_shared_when_tied():
 
 def test_zero_projections_average_rows():
     store = head_store(d=4, n_features=2, seed=7)
-    store.value("head.W_q_base")[...] = 0.0
+    store.leaves()["head.W_q_base"].data[...] = 0.0
     fstar = np.random.default_rng(8).normal(size=(3, 4))
     summary, alpha = head.final_attention(ad.Var(fstar[None]), store.leaves())
     npt.assert_allclose(alpha.data[0], np.full(3, 1 / 3), atol=1e-15)
@@ -106,17 +107,17 @@ def test_predict_formula_and_clamp():
     lv = store.leaves()
     s = np.array([0.4, -1.0, 2.2])
     got = float(head.predict(ad.Var(s[None]), lv).data[0])
-    z = store.value("head.W_out")[0] @ s + store.value("head.b_out")[0]
+    z = lv["head.W_out"].data[0] @ s + lv["head.b_out"].data[0]
     assert abs(got - 1.0 / (1.0 + math.exp(-z))) < 1e-12
-    store.value("head.b_out")[...] = 80.0
+    lv["head.b_out"].data[...] = 80.0
     assert float(head.predict(ad.Var(s[None]), lv).data[0]) == 1.0 - 1e-7
-    store.value("head.b_out")[...] = -80.0
+    lv["head.b_out"].data[...] = -80.0
     assert float(head.predict(ad.Var(s[None]), lv).data[0]) == 1e-7
 
 
 def test_predict_zero_weights_give_half():
     store = head_store(d=3, n_features=1, seed=14)
-    store.value("head.W_out")[...] = 0.0
+    store.leaves()["head.W_out"].data[...] = 0.0
     prob = head.predict(ad.Var(np.array([[1.0, 2.0, 3.0]])), store.leaves())
     assert prob.shape == (1,) and float(prob.data[0]) == 0.5
 

@@ -62,18 +62,18 @@ def test_config_validation():
 def test_init_params_deterministic_per_seed():
     cfg = tiny_config()
     s1, s2 = init_params(cfg, 7), init_params(cfg, 7)
-    assert [name for name, _ in s1.items()] == [name for name, _ in s2.items()]
-    for name, _ in s1.items():
-        npt.assert_array_equal(s1.value(name), s2.value(name))
+    assert list(s1.leaves()) == list(s2.leaves())
+    for a, b in zip(s1.leaves().values(), s2.leaves().values()):
+        npt.assert_array_equal(a.data, b.data)
     s3 = init_params(cfg, 8)
-    assert any(not np.array_equal(s1.value(n), s3.value(n))
-               for n, _ in s1.items())
+    assert any(not np.array_equal(a.data, b.data)
+               for a, b in zip(s1.leaves().values(), s3.leaves().values()))
 
 
 def test_init_param_inventory():
     cfg = tiny_config(per_position_keys=True)
     store = init_params(cfg, 0)
-    names = {name for name, _ in store.items()}
+    names = set(store.leaves())
     assert "channel0.gru.W_z" in names and "channel2.attn.beta_raw" in names
     assert "baseline.W_emb" in names and "encoder.W_O" in names
     # one key matrix per feature row plus the baseline row
@@ -83,10 +83,10 @@ def test_init_param_inventory():
 
 def store_digest(store):
     h = hashlib.sha256()
-    for name, e in store.items():
+    for name, leaf in store.leaves().items():
         h.update(name.encode())
-        h.update(repr(e.value.shape).encode())
-        h.update(e.value.tobytes())
+        h.update(repr(leaf.shape).encode())
+        h.update(leaf.data.tobytes())
     return h.hexdigest()
 
 
@@ -196,9 +196,8 @@ def test_fitted_model_round_trip_is_bitwise(tmp_path):
     loaded = load_model(path)
     assert loaded.config == cfg
     assert loaded.feature_names == ds.feature_names
-    for name, _ in model.store.items():
-        npt.assert_array_equal(loaded.store.value(name),
-                               model.store.value(name))
+    assert list(loaded.store.leaves()) == list(model.store.leaves())
+    assert np.array_equal(loaded.store.flat("value"), model.store.flat("value"))
     s1, y1 = model.score(ds)
     s2, y2 = loaded.score(ds)
     npt.assert_array_equal(s1, s2)
@@ -460,12 +459,12 @@ def test_load_model_takes_params_in_any_order_and_saves_them_in_init_order(tmp_p
     path, doc = _saved_model_doc(tmp_path)
     original = load_model(path)
     names = list(doc["params"])
-    assert names == [name for name, _ in original.store.items()]
+    assert names == list(original.store.leaves())
     doc["params"] = {name: doc["params"][name] for name in reversed(names)}
     shuffled = tmp_path / "shuffled.json"
     shuffled.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_model(shuffled)
-    assert [name for name, _ in loaded.store.items()] == names
+    assert list(loaded.store.leaves()) == names
     assert np.array_equal(loaded.store.flat("value"), original.store.flat("value"))
     resaved = tmp_path / "resaved.json"
     save_model(loaded, resaved)
@@ -490,7 +489,7 @@ def test_param_layout_is_the_store_of_init_params():
     cfg = tiny_config(per_position_keys=True)
     store = init_params(cfg, 2)
     assert ([(name, shape) for name, shape, _ in model_mod.param_layout(cfg)]
-            == [(name, e.value.shape) for name, e in store.items()])
+            == [(name, leaf.shape) for name, leaf in store.leaves().items()])
 
 
 def test_load_model_neither_inits_nor_draws(tmp_path, monkeypatch):
@@ -693,9 +692,9 @@ def biased_store(cfg, seed):
     GRU does at a pad step."""
     store = init_params(cfg, seed)
     rng = np.random.default_rng(seed)
-    for name, e in store.items():
+    for name, leaf in store.leaves().items():
         if ".gru.b_" in name:
-            e.value[...] = rng.normal(size=e.value.shape)
+            leaf.data[...] = rng.normal(size=leaf.shape)
     return store
 
 
@@ -710,7 +709,7 @@ def run_chunk(store, cfg, cases, loss_rows=None):
     grads = None
     if loss_rows is not None:
         cross_entropy(prob[loss_rows], labels[loss_rows]).backward()
-        grads = {n: e.grad.copy() for n, e in store.items()}
+        grads = {n: leaf.grad.copy() for n, leaf in store.leaves().items()}
     return prob.data, trace, grads, keep
 
 

@@ -305,3 +305,40 @@ def test_adam_step_call_check_sees_what_it_should():
         "line 9: carelens.optim.adam_step", "line 10: carelens.optim.adam_step",
         "line 11: carelens.optim.adam_step", "line 12: carelens.adam_step",
         "line 13: .optim.adam_step", "line 14: .optim.adam_step"]
+
+
+def grad_leaf_builds(source: str, module: str) -> list[str]:
+    """Calls in ``source`` that build the package's ``Var`` with a gradient
+    buffer of the caller's: a ``grad`` keyword, or a fourth positional
+    argument."""
+    tree = ast.parse(source)
+    paths, _ = _bindings(tree, module)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            path = _path(node.func, paths) or ""
+            if (path in (".autodiff.Var", "carelens.autodiff.Var")
+                    and (len(node.args) > 3 or any(k.arg == "grad" for k in node.keywords))):
+                found.append(f"line {node.lineno}: {path}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_optim_py_builds_leaves_over_a_gradient_buffer(path):
+    # ParamStore makes each parameter's leaf once, over its buffers; a leaf
+    # built anywhere else would be made again on every call
+    calls = grad_leaf_builds(path.read_text(encoding="utf-8"), path.stem)
+    assert bool(calls) == (path.name == "optim.py"), calls
+
+
+def test_grad_leaf_build_check_sees_what_it_should():
+    source = ("import carelens.autodiff\nfrom . import autodiff as ad\n"
+              "from .autodiff import Var\nfrom .autodiff import Var as V\n"
+              "def leaves(x, g, parents, bwd):\n"
+              "    a = Var(x, grad=g)\n    b = ad.Var(x, parents, bwd, g)\n"
+              "    c = V(x, grad=None)\n    d = carelens.autodiff.Var(x, grad=g)\n"
+              "    e = Var(x)\n    f = ad.Var(x, parents, bwd)\n"
+              "    return Other(x, grad=g), a, b, c, d, e, f\n")
+    assert grad_leaf_builds(source, "store") == [
+        "line 6: .autodiff.Var", "line 7: .autodiff.Var", "line 8: .autodiff.Var",
+        "line 9: carelens.autodiff.Var"]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -57,8 +58,7 @@ def test_fit_is_bitwise_deterministic():
     m1 = fit(ds, train_ids, val_ids, quick_config())
     m2 = fit(ds, train_ids, val_ids, quick_config())
     assert m1.log == m2.log
-    for name, _ in m1.store.items():
-        npt.assert_array_equal(m1.store.value(name), m2.store.value(name))
+    npt.assert_array_equal(m1.store.flat("value"), m2.store.flat("value"))
     s1, _ = m1.score(ds)
     s2, _ = m2.score(ds)
     npt.assert_array_equal(s1, s2)
@@ -127,8 +127,7 @@ def test_fit_seed_changes_model():
     train_ids, val_ids = split_ids(ds, 12)
     m1 = fit(ds, train_ids, val_ids, quick_config(seed=0))
     m2 = fit(ds, train_ids, val_ids, quick_config(seed=1))
-    assert any(not np.array_equal(m1.store.value(n), m2.store.value(n))
-               for n, _ in m1.store.items())
+    assert not np.array_equal(m1.store.flat("value"), m2.store.flat("value"))
 
 
 def test_log_rows_have_expected_fields():
@@ -343,6 +342,25 @@ def test_cross_validate_parallel_matches_serial(cpus):
     assert forks == [1]
     assert digests == ["5724810b924d87923e896f8f65a0a27b"
                        "9021bd7577f12712fb0237025d4d0874"] * 2
+
+
+def test_a_fold_that_fails_in_the_parent_ends_the_other_folds_at_once(cpus, monkeypatch):
+    # the child's fold stands in for a long training: were it waited for,
+    # the error would come after a minute
+    cpus(2)
+    parent, real_fit = os.getpid(), train_module.fit
+
+    def fit(*args):
+        if os.getpid() == parent:
+            raise ValueError("the parent's fold failed")
+        time.sleep(60)
+        return real_fit(*args)
+
+    monkeypatch.setattr(train_module, "fit", fit)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^fold 0: the parent's fold failed$"):
+        cross_validate(toy_dataset(n=60, seed=16), k=3, config=quick_config(max_epochs=2))
+    assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.parametrize("n_cpus", [2, 3])

@@ -218,6 +218,13 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
     depends only on ``item`` and what the fork copied, its output has the
     same bits in whichever process runs it.
 
+    Each share is pinned to its own CPU of this process's mask, this
+    process's share to the first: a fresh child otherwise stays on its
+    parent's CPU until the scheduler moves it, which a share of well under
+    a second rarely outlasts.  Pinning is best effort (a CPU the mask names
+    but the kernel refuses leaves that share unpinned), and this process
+    gets its whole mask back before the children are reaped.
+
     The children are always reaped, also when this raises; when this
     process's own share raises, each child gets SIGTERM first, so the error
     does not wait for their shares.  Every read end is closed before the
@@ -229,6 +236,8 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
     procs = _processes(len(items) // per_process)
     if procs == 1:
         return [fn(item) for item in items]
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
     children: list[tuple[int, int]] = []       # (pid, read end of its pipe)
     payloads = []
     out = [None] * len(items)
@@ -242,13 +251,12 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
-            if pid == 0:
-                os.close(read_fd)
-                for _, fd in children:
-                    os.close(fd)
-                _child(write_fd, fn, items[k::procs])     # never returns
+            if pid == 0:                                  # never returns
+                _child(write_fd, [read_fd] + [fd for _, fd in children], cpus[k],
+                       fn, items[k::procs])
             os.close(write_fd)
             children.append((pid, read_fd))
+        _pin({cpus[0]})
         out[::procs] = [fn(item) for item in items[::procs]]
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
@@ -259,6 +267,7 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
         raise
     finally:
         _sharing = False
+        _pin(mask)
         for _, fd in children:
             os.close(fd)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
@@ -276,19 +285,32 @@ def fork_map(fn, items: list, per_process: int = 1) -> list:
     return out
 
 
-def _child(write_fd: int, fn, share: list) -> None:
-    """Run ``fn`` on each item of ``share`` in a forked child and pickle
-    ``(True, outputs)`` or ``(False, exception)`` into ``write_fd``.
+def _pin(cpus: set[int]) -> None:
+    """Let this process run on ``cpus`` only, where the kernel allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
-    It leaves by ``os._exit``, so nothing the parent left pending (buffered
+
+def _child(write_fd: int, read_fds: list[int], cpu: int, fn, share: list) -> None:
+    """In a forked child: close the pipes' read ends, pin to ``cpu``, run
+    ``fn`` on each item of ``share`` and pickle ``(True, outputs)`` or
+    ``(False, exception)`` into ``write_fd``.
+
+    It leaves by ``os._exit`` whatever happens, so the child never returns
+    into the caller's code, and nothing the parent left pending (buffered
     output, ``atexit`` handlers, finalizers) runs a second time here; the
     inherited objects are frozen out of the garbage collector for the same
     reason.
     """
     status = 1
     try:
+        for fd in read_fds:
+            os.close(fd)
         gc.freeze()
         try:
+            _pin({cpu})
             outcome = (True, [fn(item) for item in share])
         except BaseException as exc:
             try:

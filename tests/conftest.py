@@ -17,3 +17,15 @@ def no_child_process_left():
         return
     state = "still running" if pid == 0 else f"{pid} exited but was not reaped"
     pytest.fail(f"the test left a child process: {state}")
+
+
+_MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.fixture(autouse=True)
+def cpu_mask_put_back():
+    """Give the process its CPU mask back after each test: ``fork_map``
+    restores the mask it read, and a test may have faked that one."""
+    yield
+    if _MASK is not None:
+        os.sched_setaffinity(0, _MASK)

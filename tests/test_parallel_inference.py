@@ -1,5 +1,6 @@
 """Work shared among forked processes by ``model.fork_map``: inference
-chunks with the serial bits, the process count, and clean failures."""
+chunks with the serial bits, the process count, one CPU a share, and clean
+failures."""
 
 from __future__ import annotations
 
@@ -165,6 +166,69 @@ def test_fork_map_deals_the_items_round_robin_and_keeps_their_order(monkeypatch)
     pids = [pid for _, pid in out]
     assert pids[0] == os.getpid()
     assert len(set(pids[:4])) == 4 and pids[4:] == pids[:6]
+    assert_no_child_left()
+
+
+@pytest.fixture
+def pins(monkeypatch):
+    """Four faked CPUs, and the masks this process pins itself to, in order;
+    a child's share sees its own copy of the list."""
+    masks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: masks.append(set(cpus)))
+    return masks
+
+
+def test_each_share_runs_pinned_to_its_own_cpu_of_the_mask(pins):
+    out = fork_map(lambda i: (os.getpid(), list(pins)), list(range(8)))
+    assert [masks for _, masks in out[:4]] == [[{0}], [{1}], [{2}], [{3}]]
+    assert out[0][0] == os.getpid() and len({pid for pid, _ in out}) == 4
+    assert pins == [{0}, {0, 1, 2, 3}]            # the whole mask back
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_the_parent_gets_its_whole_mask_back_when_a_share_raises(pins, where):
+    parent = os.getpid()
+
+    def fn(i):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise KeyError(f"a share failed in the {where}")
+        return i
+
+    with pytest.raises(KeyError, match=f"a share failed in the {where}"):
+        fork_map(fn, list(range(4)))
+    assert pins == [{0}, {0, 1, 2, 3}]
+    assert_no_child_left()
+
+
+def test_a_pin_that_fails_in_a_child_is_raised_in_the_parent_alone(monkeypatch):
+    parent = os.getpid()
+
+    def pin(pid, cpus):
+        if os.getpid() != parent:
+            raise ValueError(f"cannot pin to {sorted(cpus)}")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    try:
+        with pytest.raises(ValueError, match=r"cannot pin to \[1\]"):
+            fork_map(lambda i: i, [0, 1])
+    finally:
+        if os.getpid() != parent:       # a child back in the caller's code
+            os._exit(7)
+    assert_no_child_left()
+
+
+def test_a_child_runs_on_one_cpu_and_the_parent_gets_its_mask_back():
+    before = os.sched_getaffinity(0)
+    if len(before) < 2:
+        pytest.skip("one usable CPU: fork_map forks no child")
+    cpus = sorted(before)
+    out = fork_map(lambda i: (os.getpid(), os.sched_getaffinity(0)), [0, 1])
+    assert out[0] == (os.getpid(), {cpus[0]})
+    assert out[1][0] != os.getpid() and out[1][1] == {cpus[1]}
+    assert os.sched_getaffinity(0) == before
     assert_no_child_left()
 
 

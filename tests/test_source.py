@@ -221,10 +221,15 @@ def test_uncalled_check_sees_what_it_should():
         "ops.Box.mean", "ops.Box.unused", "ops.P.helper", "ops.exp", "ops.planted"]
 
 
+# what only model.fork_map may touch: starting processes, and pinning them
+PROCESS_CALLS = ("os.fork", "os.sched_setaffinity")
+
+
 def process_starts(source: str) -> list[str]:
-    """What in ``source`` starts processes by a means of its own: a
-    reference to ``os.fork``, or an import from ``concurrent.futures`` or
-    ``multiprocessing`` of anything but ``multiprocessing.parent_process``."""
+    """What in ``source`` starts or pins processes by a means of its own: a
+    reference to ``os.fork`` or ``os.sched_setaffinity``, or an import from
+    ``concurrent.futures`` or ``multiprocessing`` of anything but
+    ``multiprocessing.parent_process``."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -234,19 +239,20 @@ def process_starts(source: str) -> list[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name == "os.fork"
+        found += [(node.lineno, name) for name in names if name in PROCESS_CALLS
                   or (name.split(".")[0] in ("concurrent", "multiprocessing")
                       and name != "multiprocessing.parent_process")]
     paths, _ = _bindings(tree, "module")
-    found += [(node.lineno, "os.fork") for node in ast.walk(tree)
+    found += [(node.lineno, _path(node, paths)) for node in ast.walk(tree)
               if isinstance(node, (ast.Name, ast.Attribute))
-              and _path(node, paths) == "os.fork"]
+              and _path(node, paths) in PROCESS_CALLS]
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_model_py_starts_processes(path):
-    # model.fork_map is the package's one way to use several CPUs
+    # model.fork_map is the package's one way to use several CPUs, and the
+    # one place that pins a process to a CPU
     if path.name != "model.py":
         assert process_starts(path.read_text(encoding="utf-8")) == []
 
@@ -257,11 +263,16 @@ def test_process_start_check_sees_what_it_should():
               "from concurrent.futures import ProcessPoolExecutor\n"
               "from concurrent import futures\nimport concurrent.futures as cf\n"
               "def g():\n    pid = os.fork()\n"
-              "    return pid, f, parent_process(), os.getpid()\n")
+              "    return pid, f, parent_process(), os.getpid()\n"
+              "from os import sched_setaffinity as pin\n"
+              "def h():\n    os.sched_setaffinity(0, {1})\n"
+              "    return pin, os.sched_getaffinity(0)\n")
     assert process_starts(source) == [
         "line 2: os.fork", "line 3: multiprocessing", "line 4: multiprocessing.Pool",
         "line 5: concurrent.futures.ProcessPoolExecutor", "line 6: concurrent.futures",
-        "line 7: concurrent.futures", "line 9: os.fork", "line 10: os.fork"]
+        "line 7: concurrent.futures", "line 9: os.fork", "line 10: os.fork",
+        "line 11: os.sched_setaffinity", "line 13: os.sched_setaffinity",
+        "line 14: os.sched_setaffinity"]
 
 
 def adam_step_calls(source: str, module: str) -> list[str]:

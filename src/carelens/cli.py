@@ -86,11 +86,16 @@ def _resolve(args, defaults: dict, types: dict) -> tuple[dict, dict]:
         raise CliError(str(exc)) from None
 
 
-def _write_resolved(out_dir: Path, command: str, opts: dict, **paths) -> None:
-    doc = {"command": command, **{k: str(v) for k, v in paths.items()}, **opts}
-    with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, doc: dict) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_resolved(out_dir: Path, command: str, opts: dict, **paths) -> None:
+    _write_json(out_dir / "resolved_config.json",
+                {"command": command, **{k: str(v) for k, v in paths.items()}, **opts})
 
 
 def _out_dir(args) -> Path:
@@ -149,6 +154,7 @@ def cmd_train(args) -> int:
     given, opts = _resolve(args, TRAIN_OPTS, TRAIN_TYPES)
     dataset = _load_cases(args.data)
     config = TrainConfig(**opts)
+    config.validate()
     train_ids, val_ids = split_train_val(
         dataset.ids(), dataset.labels(), config.val_fraction,
         _derive_seed(config.seed, 9))
@@ -178,19 +184,16 @@ def _format_counts(counts: dict) -> str:
 
 def cmd_eval(args) -> int:
     given, opts = _resolve(args, EVAL_OPTS, EVAL_TYPES)
-    if opts["bootstrap"] < 1:
-        raise CliError("option 'bootstrap' must be at least 1, "
-                       f"got {opts['bootstrap']}")
+    for key, least in (("bootstrap", 1), ("seed", 0)):
+        if opts[key] < least:
+            raise CliError(f"option '{key}' must be at least {least}, got {opts[key]}")
     model = load_model(args.model)
     dataset = _load_cases(args.data)
     scores, labels = model.score(dataset)
     report = bootstrap_eval(scores, labels, opts["bootstrap"], opts["seed"])
     scored = _case_counts(labels, dataset)
     out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump({"metrics": report.to_json(), **scored}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", {"metrics": report.to_json(), **scored})
     _write_resolved(out, "eval", given, model=args.model, data=args.data, out=out)
     print(f"scored {_format_counts(scored)}")
     print(report.format_table())
@@ -203,9 +206,7 @@ def cmd_cv(args) -> int:
     dataset = _load_cases(args.data)
     report = cross_validate(dataset, k, TrainConfig(**opts))
     out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump({"metrics": report.to_json()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", {"metrics": report.to_json()})
     _write_resolved(out, "cv", given, data=args.data, out=out)
     print(report.format_table())
     return 0
@@ -226,7 +227,7 @@ def _parse_filters(pairs: list[str]) -> list[tuple[str, float]]:
 
 
 def cmd_inspect(args) -> int:
-    _, opts = _resolve(args, INSPECT_OPTS, INSPECT_TYPES)
+    given, opts = _resolve(args, INSPECT_OPTS, INSPECT_TYPES)
     filters = _parse_filters(args.filter or [])
     model = load_model(args.model)
     dataset = _load_cases(args.data)
@@ -276,9 +277,9 @@ def cmd_inspect(args) -> int:
             w.writerow([f"{x:.10g}" for x in mean_alpha])
 
     counts = _case_counts([c.label for c in selected], dataset)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(counts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", counts)
+    _write_resolved(out, "inspect", dict(given, filter=args.filter or []),
+                    model=args.model, data=args.data, out=out)
     print(f"inspected {_format_counts(counts)}, tables in {out}")
     return 0
 

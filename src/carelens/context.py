@@ -78,33 +78,25 @@ def decorrelation_total(u_all: Var, pool_positions: bool = False) -> Var:
     return ad.vmean(per_pos)
 
 
-def feed_forward(x: Var, p: dict[str, Var]) -> Var:
-    """Row-wise max(0, x W1^T + b1) W2^T + b2."""
-    return ad.relu(x @ ad.transpose(p["W_1"]) + p["b_1"]) @ ad.transpose(p["W_2"]) + p["b_2"]
-
-
-def encoder_leaves(lv: dict[str, Var], n_heads: int) -> tuple[list[dict[str, Var]], dict[str, Var]]:
-    heads = [{w: lv[f"encoder.head{m}.{w}"] for w in ("W_q", "W_k", "W_v")}
-             for m in range(n_heads)]
-    rest = {"W_O": lv["encoder.W_O"],
-            "W_1": lv["encoder.ffn.W_1"], "b_1": lv["encoder.ffn.b_1"],
-            "W_2": lv["encoder.ffn.W_2"], "b_2": lv["encoder.ffn.b_2"],
-            "ln1_gain": lv["encoder.ln1.gain"], "ln1_bias": lv["encoder.ln1.bias"],
-            "ln2_gain": lv["encoder.ln2.gain"], "ln2_bias": lv["encoder.ln2.bias"]}
-    return heads, rest
+def feed_forward(x: Var, lv: dict[str, Var]) -> Var:
+    """Row-wise max(0, x W1^T + b1) W2^T + b2 with the ``encoder.ffn`` leaves."""
+    w_1, b_1, w_2, b_2 = (lv[f"encoder.ffn.{w}"] for w in ("W_1", "b_1", "W_2", "b_2"))
+    return ad.relu(x @ ad.transpose(w_1) + b_1) @ ad.transpose(w_2) + b_2
 
 
 def encode(features: Var, lv: dict[str, Var], n_heads: int,
            eps: float = LN_EPS) -> tuple[Var, list[Var], Var]:
-    """Post-norm residual encoder block over (..., P, d) features.
+    """Post-norm residual encoder block over (..., P, d) features, with the
+    ``encoder.*`` leaves of ``lv``.
 
     Returns (re-encoded features, per-head attention, pre-projection head
     concatenation for the covariance penalty).
     """
-    heads, p = encoder_leaves(lv, n_heads)
-    u, attns = multi_head_attention(features, heads)
-    mixed = ad.layer_norm(features + u @ ad.transpose(p["W_O"]),
-                          p["ln1_gain"], p["ln1_bias"], eps)
-    out = ad.layer_norm(mixed + feed_forward(mixed, p),
-                        p["ln2_gain"], p["ln2_bias"], eps)
+    u, attns = multi_head_attention(
+        features, [{w: lv[f"encoder.head{m}.{w}"] for w in ("W_q", "W_k", "W_v")}
+                   for m in range(n_heads)])
+    mixed = ad.layer_norm(features + u @ ad.transpose(lv["encoder.W_O"]),
+                          lv["encoder.ln1.gain"], lv["encoder.ln1.bias"], eps)
+    out = ad.layer_norm(mixed + feed_forward(mixed, lv),
+                        lv["encoder.ln2.gain"], lv["encoder.ln2.bias"], eps)
     return out, attns, u

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .optim import ParamDecl, ParamStore, uniform_init
+from .optim import ParamDecl, uniform_init
 
 GATES = ("z", "r", "h")
 DECAY_FLOOR = 0.01
@@ -45,11 +45,12 @@ def init_baseline_params(d: int, n_baseline: int,
     yield "baseline.W_emb", (d, n_baseline), uniform_init(rng, n_baseline)
 
 
-def channel_leaves(store: ParamStore, n_features: int, d: int) -> dict[str, Var]:
-    """One ``stacked_leaf`` of the channels per weight kind: ``W_z``, ..., ``beta_raw``."""
+def channel_stacks(n_features: int, d: int) -> dict[str, list[str]]:
+    """The ``ParamStore`` stacks of the channels, one per weight kind:
+    ``W_z``, ..., ``beta_raw``, each naming that weight of every channel."""
     kinds = zip(*([name for name, _, _ in init_channel_params(n, d, None)]
                   for n in range(n_features)))
-    return {names[0].rsplit(".", 1)[1]: store.stacked_leaf(list(names)) for names in kinds}
+    return {names[0].rsplit(".", 1)[1]: list(names) for names in kinds}
 
 
 def _sum_from_last(parts: np.ndarray) -> np.ndarray:
@@ -64,11 +65,11 @@ def gru_forward_batch(records: np.ndarray, channels: dict[str, Var],
                       keep: np.ndarray | None = None) -> Var:
     """Run every feature's scalar-input GRU over its row of (B, N, T) records.
 
-    ``channels`` holds the (N, ...) ``W_*``, ``U_*`` and ``b_*`` leaves of
-    ``channel_leaves``.  Returns one tape node with the hidden states of all
-    N channels, shape (N, B, T, d).  Gate convention: h_t = (1 - z_t) *
-    h_{t-1} + z_t * cand_t, with the reset gate applied to the previous
-    state inside the candidate.
+    ``channels`` holds the store's (N, ...) ``W_*``, ``U_*`` and ``b_*``
+    stacks (see ``channel_stacks``).  Returns one tape node with the hidden
+    states of all N channels, shape (N, B, T, d).  Gate convention: h_t =
+    (1 - z_t) * h_{t-1} + z_t * cand_t, with the reset gate applied to the
+    previous state inside the candidate.
 
     ``keep`` is an optional (B, T) mask that is False at pad steps.  The
     state is written back to exactly 0.0 there, so with the pads first a
@@ -178,7 +179,7 @@ def time_aware_attention_batch(hidden: Var, delta: np.ndarray,
                                keep: np.ndarray | None = None) -> tuple[Var, Var]:
     """Attend over every channel's hidden states at once.
 
-    ``hidden`` holds (N, B, T, d) states and ``channels`` the ``channel_leaves``.
+    ``hidden`` holds (N, B, T, d) states and ``channels`` the store's stacks.
     Returns (summaries (N, B, d), alphas (N, B, T)).  The query comes from
     the last hidden state.
     ``delta`` holds (B, T) hours back from the newest visit; with

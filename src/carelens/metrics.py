@@ -145,6 +145,8 @@ def bootstrap_eval(scores, labels, reps: int, seed: int) -> EvalReport:
     s, y, pos = _checked(scores, labels)
     if reps < 1:
         raise ValueError("reps must be positive")
+    if seed < 0:
+        raise ValueError(f"bootstrap seed must be at least 0, not {seed!r}")
     if pos in (0, y.size):
         raise ValueError("bootstrap needs both classes in the sample")
     points = {name: fn(s, y) for name, fn in METRICS.items()}

@@ -32,11 +32,14 @@ class ParamStore:
     pairs, so whole-store updates are a few numpy calls.  Each parameter is
     one leaf, made here once, whose data and gradient view those buffers, so
     ``backward()`` accumulates straight into the store and every graph sees
-    what ``restore`` or ``adam_step`` writes.  One Adam step count serves
-    every entry.
+    what ``restore`` or ``adam_step`` writes.  So is each named stack of
+    ``stacks``: a (len(names), *shape) leaf over entries of one shape at
+    equal, positive steps in the buffers, refused naming the entries
+    otherwise.  One Adam step count serves every entry.
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
+    def __init__(self, pairs: Iterable[tuple[str, np.ndarray]],
+                 stacks: dict[str, list[str]]) -> None:
         values: dict[str, np.ndarray] = {}
         for name, value in pairs:
             if name in values:
@@ -51,14 +54,14 @@ class ParamStore:
                            for f in ("value", "grad"))
             value[...] = v
             self._leaves[name] = Var(value, grad=grad)
+        self._stacks = {key: self._stack(names) for key, names in stacks.items()}
         self.step_count = 0
 
     def flat(self, field: str) -> np.ndarray:
         """The whole ``value``, ``grad``, ``adam_m`` or ``adam_v`` buffer."""
         return self._bufs[field]
 
-    def stacked_leaf(self, names: list[str]) -> Var:
-        """A (len(names), *shape) leaf viewing entries of one shape at equal steps."""
+    def _stack(self, names: list[str]) -> Var:
         first, at = self._leaves[names[0]].data, [self._starts[n] for n in names]
         step = at[1] - at[0] if len(names) > 1 else first.size
         odd = [n for i, n in enumerate(names)
@@ -75,6 +78,10 @@ class ParamStore:
     def leaves(self) -> dict[str, Var]:
         """Every parameter's leaf by name: the same leaves each call, in a new dict."""
         return dict(self._leaves)
+
+    def stacks(self) -> dict[str, Var]:
+        """Every stack's leaf by name: the same leaves each call, in a new dict."""
+        return dict(self._stacks)
 
     def zero_grad(self) -> None:
         self.flat("grad")[...] = 0.0

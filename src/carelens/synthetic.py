@@ -61,6 +61,7 @@ class SyntheticSpec:
                  and set(prof) <= {"fast", "slow"}, "a fast or slow tag per feature"),
                 ("label_noise", 0 <= self.label_noise < 1, "in [0, 1)"),
                 ("prevalence", 0 < self.prevalence < 1, "in (0, 1)"),
+                ("seed", self.seed >= 0, "at least 0"),
                 ("min_visits", 1 <= self.min_visits <= self.max_visits, "in 1..max_visits"),
                 *((k, np.isfinite(getattr(self, k)), "finite")
                   for k in ("w_fast", "w_slow", "w_int")),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
-from .embedding import channel_leaves
 from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
 from .model import (FittedModel, ModelConfig, forward_batch, fork_map, init_params,
@@ -44,6 +43,7 @@ class TrainConfig:
                 ("max_epochs", self.max_epochs >= 0, "at least 0"),
                 ("patience", self.patience >= 1, "at least 1"),
                 ("lambda_decorr", 0 <= self.lambda_decorr < np.inf, "finite and >= 0"),
+                ("seed", self.seed >= 0, "at least 0"),
                 ("val_fraction", 0 < self.val_fraction < 1, "in (0, 1)")):
             if not ok:
                 raise ValueError(f"train config '{key}' must be {rule}, "
@@ -67,7 +67,6 @@ def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
     ``make_batches`` for the config's seed and ``epoch``: the one training
     loop.  Returns the case-weighted mean ``train_loss`` and ``train_ce``."""
     cfg = config.model_config(dataset)
-    lv, channels = store.leaves(), channel_leaves(store, cfg.n_features, cfg.d)
     loss_sum = ce_sum = 0.0
     seen = 0
     batches = make_batches(dataset, ids, config.batch_size,
@@ -75,8 +74,7 @@ def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
     for b_idx, batch in enumerate(batches):
         records, delta, baseline, labels, keep = pad_cases(batch)
         store.zero_grad()
-        prob, decorr, _ = forward_batch(lv, channels, records, delta, baseline, cfg,
-                                        keep=keep)
+        prob, decorr, _ = forward_batch(store, records, delta, baseline, cfg, keep=keep)
         ce = cross_entropy(prob, labels)
         loss = ce + config.lambda_decorr * decorr
         if not np.isfinite(loss.data):

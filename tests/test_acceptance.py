@@ -21,8 +21,8 @@ import carelens.autodiff as ad
 from carelens.autodiff import Var
 from carelens.context import decorrelation_total, multi_head_attention
 from carelens.data import PatientCase, apply_normalization, fit_normalization
-from carelens.embedding import (channel_leaves, effective_beta,
-                                time_aware_attention_batch, time_damped_scores)
+from carelens.embedding import (effective_beta, time_aware_attention_batch,
+                                time_damped_scores)
 from carelens.head import cross_entropy, final_attention
 from carelens.metrics import auprc, auroc, bootstrap_eval, min_se_pplus
 from carelens.model import ModelConfig, forward_batch, fork_map, init_params, pad_cases
@@ -65,8 +65,7 @@ def test_acceptance_01_every_parameter_passes_end_to_end_grad_check():
     records, delta, baseline, labels, _ = pad_cases(cases)
 
     def loss(s: ParamStore) -> Var:
-        prob, decorr, _ = forward_batch(s.leaves(), channel_leaves(s, 3, 8), records,
-                                        delta, baseline, cfg)
+        prob, decorr, _ = forward_batch(s, records, delta, baseline, cfg)
         return cross_entropy(prob, labels) + decorr
 
     errs = grad_check(loss, store, h=3e-5)

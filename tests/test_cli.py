@@ -286,6 +286,10 @@ def test_inspect_label_filter_and_per_patient(tmp_path, capsys):
     assert len(rows) == n_pos + 1
     pos_ids = {c.id for c in ds.cases if c.label == 1}
     assert {r[0] for r in rows[1:]} == pos_ids
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved == {"command": "inspect", "model": str(run_dir / "model.json"),
+                        "data": str(data / "dataset.jsonl"), "out": str(out),
+                        "filter": ["label=1"], "per_patient": True}
 
 
 def test_inspect_flag_filter_with_baseline_name(tmp_path, capsys):
@@ -701,6 +705,25 @@ def test_label_filter_takes_a_float_spelling_of_0(tmp_path, capsys):
                           "--filter", "label=0.0")
     n_neg = int((load_dataset(data / "dataset.jsonl").labels() == 0).sum())
     assert code == 0 and f"inspected {n_neg} cases" in stdout
+
+
+@pytest.mark.parametrize("command,code,why", [
+    ("generate", 1, "ValueError: seed must be at least 0, not -1"),
+    ("train", 1, "ValueError: train config 'seed' must be at least 0, not -1"),
+    ("cv", 1, "ValueError: train config 'seed' must be at least 0, not -1"),
+    ("eval", 2, "option 'seed' must be at least 0, got -1")])
+def test_a_negative_seed_is_refused_naming_the_field(tmp_path, capsys, command, code, why):
+    # numpy's SeedSequence used to refuse it: "expected non-negative integer"
+    data = gen_dir(tmp_path, capsys, cases=20) / "dataset.jsonl"
+    files = {"generate": (), "train": ("--data", str(data)),
+             "cv": ("--data", str(data), "--k", "2"),
+             "eval": ("--model", str(tmp_path / "missing.json"),
+                      "--data", str(tmp_path / "missing.jsonl"))}[command]
+    got, _, err = run(capsys, command, "--out", str(tmp_path / "x"), *files,
+                      "--seed", "-1")
+    assert got == code
+    assert json.loads(err) == {"error": why}
+    assert not (tmp_path / "x").exists()
 
 
 # -- eval rejects a bootstrap count below 1 before reading any file ---------------

@@ -16,7 +16,14 @@ from carelens.optim import ParamStore, grad_check
 
 def encoder_store(d, n_heads, d_ff=None, seed=0):
     layout = ctx.init_encoder_params(d, n_heads, d_ff or 2 * d, np.random.default_rng(seed))
-    return ParamStore((name, init(shape)) for name, shape, init in layout)
+    return ParamStore(((name, init(shape)) for name, shape, init in layout), {})
+
+
+def heads_of(lv, n_heads):
+    """The per-head weights ``multi_head_attention`` takes, as ``encode``
+    reads them from the ``encoder.head<m>`` leaves."""
+    return [{w: lv[f"encoder.head{m}.{w}"] for w in ("W_q", "W_k", "W_v")}
+            for m in range(n_heads)]
 
 
 def mha_oracle(features, heads):
@@ -85,7 +92,7 @@ def test_mha_matches_loop_oracle():
     for trial in range(10):
         d, m = [(4, 2), (6, 3), (8, 1)][trial % 3]
         store = encoder_store(d, m, seed=trial)
-        heads, _ = ctx.encoder_leaves(store.leaves(), m)
+        heads = heads_of(store.leaves(), m)
         feats = rng.normal(size=(int(rng.integers(1, 6)), d))
         u, attns = ctx.multi_head_attention(ad.Var(feats), heads)
         u_ref, attn_ref = mha_oracle(feats, heads)
@@ -96,7 +103,7 @@ def test_mha_matches_loop_oracle():
 
 def test_mha_rows_are_distributions():
     store = encoder_store(6, 2, seed=2)
-    heads, _ = ctx.encoder_leaves(store.leaves(), 2)
+    heads = heads_of(store.leaves(), 2)
     feats = np.random.default_rng(3).normal(size=(5, 6))
     _, attns = ctx.multi_head_attention(ad.Var(feats), heads)
     for a in attns:
@@ -106,7 +113,7 @@ def test_mha_rows_are_distributions():
 
 def test_mha_single_position_attends_to_itself():
     store = encoder_store(4, 2, seed=4)
-    heads, _ = ctx.encoder_leaves(store.leaves(), 2)
+    heads = heads_of(store.leaves(), 2)
     feats = np.random.default_rng(5).normal(size=(1, 4))
     u, attns = ctx.multi_head_attention(ad.Var(feats), heads)
     for a in attns:
@@ -118,7 +125,7 @@ def test_mha_single_position_attends_to_itself():
 def test_mha_zero_queries_average_values():
     store = encoder_store(4, 1, seed=6)
     store.leaves()["encoder.head0.W_q"].data[...] = 0.0
-    heads, _ = ctx.encoder_leaves(store.leaves(), 1)
+    heads = heads_of(store.leaves(), 1)
     feats = np.random.default_rng(7).normal(size=(3, 4))
     u, attns = ctx.multi_head_attention(ad.Var(feats), heads)
     npt.assert_allclose(attns[0].data, np.full((3, 3), 1 / 3), atol=1e-15)
@@ -130,7 +137,7 @@ def test_mha_scaling_uses_per_head_width():
     # doubling scores via W_q must differ from what unscaled attention gives;
     # verify the 1/sqrt(d_k) factor is applied by reproducing scores directly
     store = encoder_store(8, 2, seed=8)
-    heads, _ = ctx.encoder_leaves(store.leaves(), 2)
+    heads = heads_of(store.leaves(), 2)
     feats = np.random.default_rng(9).normal(size=(4, 8))
     _, attns = ctx.multi_head_attention(ad.Var(feats), heads)
     hp = heads[1]
@@ -234,7 +241,7 @@ def test_pooled_penalty_is_bitwise_the_two_dimensional_form(shape):
 
 
 def test_decorrelation_gradients():
-    store = ParamStore([("u", np.random.default_rng(17).normal(size=(4, 3)))])
+    store = ParamStore([("u", np.random.default_rng(17).normal(size=(4, 3)))], {})
     errs = grad_check(lambda s: cov_penalty(s.leaves()["u"]), store,
                       h=1e-5)
     assert errs["u"] < 1e-6
@@ -246,9 +253,8 @@ def test_decorrelation_gradients():
 def test_feed_forward_matches_direct_formula():
     store = encoder_store(4, 2, d_ff=6, seed=18)
     lv = store.leaves()
-    _, p = ctx.encoder_leaves(lv, 2)
     x = np.random.default_rng(19).normal(size=(3, 4))
-    got = ctx.feed_forward(ad.Var(x), p).data
+    got = ctx.feed_forward(ad.Var(x), lv).data
     w1, b1 = lv["encoder.ffn.W_1"].data, lv["encoder.ffn.b_1"].data
     w2, b2 = lv["encoder.ffn.W_2"].data, lv["encoder.ffn.b_2"].data
     want = np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
@@ -273,7 +279,7 @@ def test_encode_returns_preprojection_concat():
     lv = store.leaves()
     feats = np.random.default_rng(23).normal(size=(4, 6))
     _, _, u = ctx.encode(ad.Var(feats), lv, 2)
-    heads, _ = ctx.encoder_leaves(lv, 2)
+    heads = heads_of(lv, 2)
     u_ref, _ = mha_oracle(feats, heads)
     assert u.shape == (4, 6)  # M * d_k == d
     npt.assert_allclose(u.data, u_ref, atol=1e-12)

@@ -18,16 +18,21 @@ from carelens.optim import ParamStore, grad_check
 
 
 def channel_store(d, n_channels=1, seed=0, with_baseline=0):
+    """The channels' weights with their ``channel_stacks``, and each channel's
+    one-member stacks too, keyed ``channel<n>.<kind>`` (see ``one_channel``)."""
     rng = np.random.default_rng(seed)
     layout = [decl for n in range(n_channels) for decl in emb.init_channel_params(n, d, rng)]
     if with_baseline:
         layout += emb.init_baseline_params(d, with_baseline, rng)
-    return ParamStore((name, init(shape)) for name, shape, init in layout)
+    stacks = emb.channel_stacks(n_channels, d)
+    stacks.update((f"channel{n}.{kind}", [names[n]])
+                  for kind, names in list(stacks.items()) for n in range(n_channels))
+    return ParamStore(((name, init(shape)) for name, shape, init in layout), stacks)
 
 
 def channel(lv, n):
-    """Channel n's leaves of ``ParamStore.leaves()``, keyed as ``channel_leaves``
-    keys its stacked ones.  Their arrays alias the stacked leaves', so the
+    """Channel n's leaves of ``ParamStore.leaves()``, keyed by weight kind as
+    the store's stacks are.  Their arrays alias the stacked leaves', so the
     per-channel references write their gradients into the same buffers."""
     return {name.rsplit(".", 1)[1]: v for name, v in lv.items()
             if name.startswith(f"channel{n}.")}
@@ -38,9 +43,10 @@ def channel_list(store, n_channels):
 
 
 def one_channel(store, n=0):
-    """Channel n alone, as the (1, ...) stacked leaves the batched ops take."""
-    return {name.rsplit(".", 1)[1]: store.stacked_leaf([name])
-            for name in store.leaves() if name.startswith(f"channel{n}.")}
+    """Channel n alone, as the (1, ...) stacked leaves the batched ops take:
+    the one-member stacks of ``channel_store``."""
+    return {key.rsplit(".", 1)[1]: leaf for key, leaf in store.stacks().items()
+            if key.startswith(f"channel{n}.")}
 
 
 def sigmoid(x):
@@ -178,17 +184,12 @@ def full_model_problem(n_feat, b_size, t_len, d, time_aware=True):
     return cfg, store, records, delta, baseline, labels
 
 
-def model_leaves(store, cfg):
-    """The ``lv`` and ``channels`` that ``forward_batch`` takes."""
-    return store.leaves(), emb.channel_leaves(store, cfg.n_features, cfg.d)
-
-
 def full_loss_grads(cfg, store, records, delta, baseline, labels):
     """Probabilities, time-damped attention rows and every parameter
     gradient of the cross-entropy + decorrelation loss."""
     store.zero_grad()
-    prob, decorr, trace = model.forward_batch(*model_leaves(store, cfg), records, delta,
-                                              baseline, cfg, collect_trace=True)
+    prob, decorr, trace = model.forward_batch(store, records, delta, baseline, cfg,
+                                              collect_trace=True)
     (cross_entropy(prob, labels) + decorr).backward()
     return (prob.data, trace["ta_alphas"],
             {n: leaf.grad.copy() for n, leaf in store.leaves().items()})
@@ -226,7 +227,7 @@ def test_fused_gru_is_bitwise_the_composed_recurrence(monkeypatch, n_feat,
     store, records = problem[1], problem[2]
     randomize_gru_biases(store, n_feat + b_size + t_len + d)
     npt.assert_array_equal(
-        emb.gru_forward_batch(records, emb.channel_leaves(store, n_feat, d)).data,
+        emb.gru_forward_batch(records, store.stacks()).data,
         composed_gru_forward_batch(records, channel_list(store, n_feat)).data)
 
     got = full_loss_grads(*problem)
@@ -327,13 +328,12 @@ def test_stepwise_input_projection_is_bitwise_the_precomputed_one(monkeypatch, n
 
     def outputs():
         store.zero_grad()
-        prob, decorr, trace = model.forward_batch(*model_leaves(store, cfg), records,
-                                                  delta, baseline, cfg,
+        prob, decorr, trace = model.forward_batch(store, records, delta, baseline, cfg,
                                                   collect_trace=True, keep=keep)
         (cross_entropy(prob, labels) + decorr).backward()
         with ad.no_grad():
-            graph_free, _, _ = model.forward_batch(*model_leaves(store, cfg), records,
-                                                   delta, baseline, cfg, keep=keep)
+            graph_free, _, _ = model.forward_batch(store, records, delta, baseline, cfg,
+                                                   keep=keep)
         return (prob.data, trace["ta_alphas"], graph_free.data,
                 {n: leaf.grad.copy() for n, leaf in store.leaves().items()})
 
@@ -372,7 +372,7 @@ def test_masked_gru_holds_pad_states_at_positive_zero():
     for name, leaf in store.leaves().items():
         if ".gru.b_" in name:       # nonzero, so a pad step would move h
             leaf.data[...] = np.random.default_rng(10).normal(size=leaf.shape)
-    channels = emb.channel_leaves(store, 2, 5)
+    channels = store.stacks()
     rng = np.random.default_rng(11)
     records = rng.normal(size=(3, 2, 6))
     keep = np.arange(6) >= np.array([[0], [2], [5]])        # 6, 4 and 1 visits
@@ -569,7 +569,7 @@ def build_feature_matrix(case, store, n_features, time_aware=True):
     encoder (N attention summaries, then the baseline embedding), and its N
     attention weight rows."""
     w_emb = store.leaves()["baseline.W_emb"]
-    channels = emb.channel_leaves(store, n_features, w_emb.shape[0])
+    channels = store.stacks()
     hidden = emb.gru_forward_batch(case.records[None], channels)
     delta = (case.timestamps[-1] - case.timestamps)[None, :]
     f, alpha = emb.time_aware_attention_batch(hidden, delta, channels, time_aware)

@@ -15,7 +15,7 @@ from carelens.optim import ParamStore, grad_check
 def head_store(d, n_features, per_position_keys=False, seed=0):
     layout = head.init_head_params(d, n_features, np.random.default_rng(seed),
                                    per_position_keys)
-    return ParamStore((name, init(shape)) for name, shape, init in layout)
+    return ParamStore(((name, init(shape)) for name, shape, init in layout), {})
 
 
 def final_oracle(fstar, wq, key_mats):

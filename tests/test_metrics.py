@@ -222,6 +222,8 @@ def test_bootstrap_rejects_degenerate_input():
         bootstrap_eval([0.1, 0.2], [0, 0], reps=5, seed=0)
     with pytest.raises(ValueError, match="reps"):
         bootstrap_eval([0.1, 0.2], [0, 1], reps=0, seed=0)
+    with pytest.raises(ValueError, match=r"^bootstrap seed must be at least 0, not -1$"):
+        bootstrap_eval([0.1, 0.2], [0, 1], reps=5, seed=-1)
 
 
 def test_bootstrap_std_tracks_analytic_scale():

@@ -10,18 +10,19 @@ import numpy.testing as npt
 import pytest
 
 from carelens import autodiff as ad
+from carelens.embedding import channel_stacks
 from carelens.model import FittedModel, ModelConfig, init_params, load_model, save_model
 from carelens.optim import ParamStore, adam_step, grad_check
 
 
 def make_store(**arrays):
-    return ParamStore(arrays.items())
+    return ParamStore(arrays.items(), {})
 
 
 def test_store_rejects_duplicate_names():
     pairs = [("w", [1.0]), ("v", [[2.0]]), ("w", np.zeros(1))]
     with pytest.raises(ValueError, match="^duplicate parameter name 'w'$"):
-        ParamStore(pairs)
+        ParamStore(pairs, {})
 
 
 def test_leaf_shares_gradient_buffer():
@@ -33,16 +34,15 @@ def test_leaf_shares_gradient_buffer():
     npt.assert_array_equal(store.leaves()["w"].grad, [[0.0, 0.0]])
 
 
-def channel_like_store():
-    """Two channels of (w, b, scale) entries, then one unrelated entry."""
-    return make_store(**{"c0.w": [[1.0, 2.0], [3.0, 4.0]], "c0.b": [5.0, 6.0], "c0.s": 7.0,
-                         "c1.w": [[8.0, 9.0], [10.0, 11.0]], "c1.b": [12.0, 13.0],
-                         "c1.s": 14.0, "other": [15.0, 16.0]})
+# two channels of (w, b, scale) entries, then one unrelated entry
+CHANNEL_LIKE = {"c0.w": [[1.0, 2.0], [3.0, 4.0]], "c0.b": [5.0, 6.0], "c0.s": 7.0,
+                "c1.w": [[8.0, 9.0], [10.0, 11.0]], "c1.b": [12.0, 13.0], "c1.s": 14.0,
+                "other": [15.0, 16.0]}
 
 
 def test_stacked_leaf_views_the_entries_both_ways():
-    store = channel_like_store()
-    w, s = store.stacked_leaf(["c0.w", "c1.w"]), store.stacked_leaf(["c0.s", "c1.s"])
+    store = ParamStore(CHANNEL_LIKE.items(), {"w": ["c0.w", "c1.w"], "s": ["c0.s", "c1.s"]})
+    w, s = store.stacks()["w"], store.stacks()["s"]
     assert w.shape == (2, 2, 2) and s.shape == (2,)
     npt.assert_array_equal(w.data[1], store.leaves()["c1.w"].data)
     npt.assert_array_equal(s.data, [7.0, 14.0])
@@ -63,13 +63,13 @@ def test_stacked_leaf_views_the_entries_both_ways():
 
 
 def test_stacked_leaf_of_one_entry():
-    store = channel_like_store()
-    b = store.stacked_leaf(["c1.b"])
+    store = ParamStore(CHANNEL_LIKE.items(), {"b": ["c1.b"], "s": ["c0.s"]})
+    b = store.stacks()["b"]
     assert b.shape == (1, 2)
     npt.assert_array_equal(b.data, [[12.0, 13.0]])
     ad.vsum(b * 3.0).backward()
     npt.assert_array_equal(store.leaves()["c1.b"].grad, [3.0, 3.0])
-    assert store.stacked_leaf(["c0.s"]).shape == (1,)
+    assert store.stacks()["s"].shape == (1,)
 
 
 @pytest.mark.parametrize("names,odd", [
@@ -81,15 +81,15 @@ def test_stacked_leaf_of_one_entry():
     (["c0.s", "c0.s"], "['c0.s', 'c0.s']")])         # a step of zero
 def test_stacked_leaf_refuses_entries_it_cannot_view_by_name(names, odd):
     with pytest.raises(ValueError, match=f"^parameters {re.escape(odd)} do not share"):
-        channel_like_store().stacked_leaf(names)
+        ParamStore(CHANNEL_LIKE.items(), {"b": ["c0.b", "c1.b"], "bad": names})
 
 
 def test_stacked_leaf_refuses_unequal_steps_by_name():
-    store = make_store(a=[1.0], b=[2.0], pad=[0.0], c=[3.0], d=[4.0])
-    assert store.stacked_leaf(["a", "b"]).shape == (2, 1)
+    pairs = {"a": [1.0], "b": [2.0], "pad": [0.0], "c": [3.0], "d": [4.0]}.items()
+    assert ParamStore(pairs, {"ab": ["a", "b"]}).stacks()["ab"].shape == (2, 1)
     with pytest.raises(ValueError, match=r"^parameters \['c', 'd'\] do not share the "
                                          r"shape of 'a' at equal, positive steps after it$"):
-        store.stacked_leaf(["a", "b", "c", "d"])
+        ParamStore(pairs, {"ab": ["a", "b"], "abcd": ["a", "b", "c", "d"]})
 
 
 def test_adam_zero_gradient_leaves_values_unchanged():
@@ -270,7 +270,7 @@ def test_entries_are_views_of_the_flat_buffers():
     rng = np.random.default_rng(4)
     values = {"a": np.array([1.0, 2.0]), "s": np.array(0.75)}
     values.update((f"w{i}", rng.normal(size=(i % 4 + 1, 3))) for i in range(40))
-    store = ParamStore(values.items())
+    store = ParamStore(values.items(), {})
     assert list(store.leaves()) == list(values)
     for name, leaf in store.leaves().items():
         assert np.shares_memory(leaf.data, store.flat("value")), name
@@ -319,6 +319,48 @@ def test_each_parameter_is_one_leaf_that_sees_every_write_to_the_store(tmp_path)
     loaded.flat("grad")[...] = 2.0
     assert all(leaf is loaded.leaves()[name] for name, leaf in got.items())
     assert np.array_equal(seen(got), snap + 1.0)
+    assert all((leaf.grad == 2.0).all() for leaf in got.values())
+
+
+def test_each_stack_is_one_leaf_that_sees_every_write_to_the_store(tmp_path):
+    cfg = ModelConfig(n_features=3, n_baseline=2, d=8, heads=2)
+    store = init_params(cfg, 5)
+    names = channel_stacks(3, 8)
+    st = store.stacks()
+    assert st is not store.stacks() and list(st) == list(names)
+    assert all(leaf is store.stacks()[key] for key, leaf in st.items())
+    # the dict is the caller's: an edit to it does not reach the store
+    kept = st.pop("W_z")
+    st["U_z"] = ad.Var(np.zeros(1))
+    assert store.stacks()["W_z"] is kept and store.stacks()["U_z"] is not st["U_z"]
+    st = store.stacks()
+
+    def seen(stacks):
+        return np.concatenate([leaf.data.ravel() for leaf in stacks.values()])
+
+    def entries(store):
+        lv = store.leaves()
+        return np.concatenate([np.stack([lv[n].data for n in ns]).ravel()
+                               for ns in names.values()])
+
+    before = seen(st)
+    assert np.array_equal(before, entries(store))
+    snap = store.snapshot()
+    store.flat("grad")[...] = 0.01
+    adam_step(store, 0.1)
+    assert np.array_equal(seen(st), entries(store))
+    assert not np.array_equal(seen(st), before)
+    store.restore(snap)
+    assert np.array_equal(seen(st), before)
+    path = tmp_path / "m.json"
+    save_model(FittedModel(store, cfg, ["f0", "f1", "f2"], ["b0", "b1"]), path)
+    loaded = load_model(path).store
+    got = loaded.stacks()
+    assert list(got) == list(st) and np.array_equal(seen(got), before)
+    loaded.flat("value")[...] += 1.0
+    loaded.flat("grad")[...] = 2.0
+    assert all(leaf is loaded.stacks()[key] for key, leaf in got.items())
+    assert np.array_equal(seen(got), before + 1.0)
     assert all((leaf.grad == 2.0).all() for leaf in got.values())
 
 

@@ -287,3 +287,38 @@ def test_buffered_output_is_printed_once_when_inference_forks():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout == "held in the buffer\nforks: 1 scores: 600\n"
+
+
+def test_an_interrupt_to_the_parent_alone_ends_its_children_at_once():
+    # SIGINT to the parent only, not to its process group as a terminal's
+    # Ctrl-C would send it: the children hear of it from the parent alone
+    script = textwrap.dedent("""
+        import os
+        import time
+        import carelens.model as model_mod
+
+        os.sched_getaffinity = lambda pid: {0, 1}
+
+        def share(seconds):
+            print(os.getpid(), flush=True)
+            time.sleep(seconds)
+
+        start = time.monotonic()
+        try:
+            model_mod.fork_map(share, [20.0, 20.0])
+        except KeyboardInterrupt:
+            print("interrupted after", time.monotonic() - start, flush=True)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(model_mod.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                          stdout=subprocess.PIPE) as proc:
+        try:
+            pids = {int(proc.stdout.readline()) for _ in range(2)}
+            os.kill(proc.pid, signal.SIGINT)
+            out = proc.communicate(timeout=60)[0]
+        finally:
+            proc.kill()
+    child, = pids - {proc.pid}
+    assert out.startswith("interrupted after ") and float(out.split()[-1]) < 5.0
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)

@@ -161,6 +161,8 @@ def test_spec_validation_names_each_field_and_value():
         SyntheticSpec(n_cases=0).validate()
     with pytest.raises(ValueError, match=r"^min_visits must be in 1\.\.max_visits, not 5$"):
         SyntheticSpec(min_visits=5, max_visits=4).validate()
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, not -1$"):
+        generate_synthetic(SyntheticSpec(n_cases=5, seed=-1))
     SyntheticSpec(w_fast=0.0, w_slow=-2.0, w_int=0.0).validate()
 
 

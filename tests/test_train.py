@@ -233,7 +233,8 @@ NON_FINITE_TRAIN = [
      "train config 'lambda_decorr' must be finite and >= 0, not inf"),
     (dict(lambda_decorr=float("nan")),
      "train config 'lambda_decorr' must be finite and >= 0, not nan"),
-    (dict(max_epochs=-1), "train config 'max_epochs' must be at least 0, not -1")]
+    (dict(max_epochs=-1), "train config 'max_epochs' must be at least 0, not -1"),
+    (dict(seed=-1), "train config 'seed' must be at least 0, not -1")]
 
 
 @pytest.mark.parametrize("bad,why", NON_FINITE_TRAIN)

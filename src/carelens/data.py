@@ -118,6 +118,15 @@ class Normalization:
                 "baseline_std": self.baseline_std.tolist(),
                 "baseline_is_flag": self.baseline_is_flag.astype(int).tolist()}
 
+    def z_score(self, records: np.ndarray, baseline: np.ndarray) -> None:
+        """Z-score (N, visits) records and (cases, S) baselines in place:
+        element by element, so every value gets the same bits however the
+        visits and cases are grouped."""
+        records -= self.feature_mean[:, None]
+        records /= self.feature_std[:, None]
+        baseline -= self.baseline_mean
+        baseline /= self.baseline_std
+
     def validate(self, n_features: int, n_baseline: int) -> None:
         """Raise ValueError naming the first field that has the wrong
         length or a non-finite entry, or a std that is not positive."""
@@ -370,11 +379,8 @@ def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
         # z-scoring in place allocates no temporaries, which would be freed
         # to the system and faulted in again by the next forward pass
         records = np.concatenate([c.records for c in dataset.cases], axis=1)
-        records -= norm.feature_mean[:, None]
-        records /= norm.feature_std[:, None]
         base = np.stack([c.baseline for c in dataset.cases])
-        base -= norm.baseline_mean
-        base /= norm.baseline_std
+        norm.z_score(records, base)
         splits = np.cumsum([c.n_visits for c in dataset.cases[:-1]])
         out.cases = [PatientCase(c.id, b, c.timestamps, r, c.label) for c, b, r
                      in zip(dataset.cases, base, np.split(records, splits, axis=1))]

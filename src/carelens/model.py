@@ -5,8 +5,9 @@ plus the baseline embedding into an (N+1) x d matrix, re-encodes it with the
 context block, and scores it with the baseline-queried head.  Every batch,
 in training and in inference, is stacked by ``pad_cases``; batching is
 what gives the covariance penalty something to work with.  Scoring and
-tracing sort the cases by visit count and run them in chunks of at most
-``CHUNK_CELLS`` padded (case, visit) cells, with no tape.  With two chunks
+tracing sort the raw cases by visit count and run them in chunks of at most
+``CHUNK_CELLS`` padded (case, visit) cells, with no tape, each z-scored as
+``pad_cases`` stacks it.  With two chunks
 or more for each CPU the process may use, forked children run a share of
 the chunks each (``fork_map``, the package's one way to use several CPUs).
 """
@@ -19,7 +20,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field
 from multiprocessing import parent_process
 from typing import Iterator, get_type_hints
 
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .context import LN_EPS, decorrelation_total, encode, init_encoder_params
-from .data import (Dataset, Normalization, PatientCase, _numbers, apply_normalization,
-                   name_list, typed)
+from .data import Dataset, Normalization, PatientCase, _numbers, name_list, typed
 from .embedding import (channel_stacks, effective_beta, embed_baseline_batch,
                         gru_forward_batch, init_baseline_params,
                         init_channel_params, time_aware_attention_batch)
@@ -97,25 +97,31 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
                       channel_stacks(cfg.n_features, cfg.d))
 
 
-def pad_cases(cases: list[PatientCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray | None]:
+def pad_cases(cases: list[PatientCase], norm: Normalization | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                         np.ndarray | None]:
     """Stack cases left-padded to the longest: (B,N,T) records, (B,T)
     hours-back deltas, (B,S) baselines, (B,) labels and the (B,T) keep-mask,
     False at pad steps, or None when every case has T visits.  Pads hold
-    0.0 in records and deltas."""
+    0.0 in records and deltas.  With ``norm``, records and baselines are
+    z-scored by ``Normalization.z_score``, as ``apply_normalization`` does,
+    so with the same bits; the cases' own arrays stay untouched."""
     lengths = np.array([c.n_visits for c in cases])
     t_len = int(lengths.max())
     keep = np.arange(t_len) >= (t_len - lengths)[:, None]
+    visits = np.concatenate([c.records for c in cases], axis=1)
+    baseline = np.stack([c.baseline for c in cases])
+    if norm is not None:
+        # on the real visits only, before the scatter, so pads stay 0.0
+        norm.z_score(visits, baseline)
     # a mask scatter fills its targets row by row, so each case's visits
     # land in its own row, in order, after its pads
     records = np.zeros((len(cases), cases[0].records.shape[0], t_len))
-    records.transpose(1, 0, 2)[:, keep] = np.concatenate([c.records for c in cases],
-                                                         axis=1)
+    records.transpose(1, 0, 2)[:, keep] = visits
     stamps = np.zeros((len(cases), t_len))
     stamps[keep] = np.concatenate([c.timestamps for c in cases])
     # the last step is always real, so stamps[:, -1:] is each case's last visit
     delta = np.where(keep, stamps[:, -1:] - stamps, 0.0)
-    baseline = np.stack([c.baseline for c in cases])
     labels = np.array([c.label for c in cases], dtype=np.float64)
     return records, delta, baseline, labels, None if keep.all() else keep
 
@@ -160,7 +166,7 @@ def _chunk_plan(cases: list[PatientCase]) -> list[list[int]]:
     gets a chunk of its own.
     """
     lengths = [c.n_visits for c in cases]
-    order = sorted(range(len(cases)), key=lengths.__getitem__)
+    order = np.argsort(lengths, kind="stable").tolist()
     plan, start = [], 0
     while start < len(order):
         stop = start + 1
@@ -193,14 +199,15 @@ def _processes(limit: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), limit))
 
 
-def _forward_chunks(store: ParamStore, cfg: ModelConfig,
-                    cases: list[PatientCase], collect_trace: bool = False):
+def _forward_chunks(store: ParamStore, cfg: ModelConfig, cases: list[PatientCase],
+                    norm: Normalization | None, collect_trace: bool = False):
     """(positions, probabilities, trace) for each chunk of ``_chunk_plan``,
-    each run as one padded forward pass with no tape; ``fork_map`` shares
-    the chunks out, at least two to a process.  A chunk's outputs depend
-    only on its own cases and the weights."""
+    each z-scored with ``norm`` as ``pad_cases`` stacks it and run as one
+    padded forward pass with no tape; ``fork_map`` shares the chunks out, at
+    least two to a process.  A chunk's outputs depend only on its own cases,
+    ``norm`` and the weights."""
     def run(idx):
-        records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx])
+        records, delta, baseline, _, keep = pad_cases([cases[i] for i in idx], norm)
         with ad.no_grad():
             prob, _, trace = forward_batch(store, records, delta, baseline, cfg,
                                            collect_trace, keep=keep)
@@ -324,11 +331,12 @@ def _child(write_fd: int, read_fds: list[int], cpu: int, fn, share: list) -> Non
         os._exit(status)
 
 
-def score_cases(store: ParamStore, cfg: ModelConfig,
-                cases: list[PatientCase]) -> np.ndarray:
-    """Probabilities for arbitrary cases, scored in padded chunks with no tape."""
+def score_cases(store: ParamStore, cfg: ModelConfig, cases: list[PatientCase],
+                norm: Normalization | None = None) -> np.ndarray:
+    """Probabilities for arbitrary cases, z-scored with ``norm`` when given,
+    scored in padded chunks with no tape."""
     out = np.empty(len(cases))
-    for idx, prob, _ in _forward_chunks(store, cfg, cases):
+    for idx, prob, _ in _forward_chunks(store, cfg, cases, norm):
         out[idx] = prob
     return out
 
@@ -354,22 +362,19 @@ class FittedModel:
                              f"{self.baseline_names}, dataset has "
                              f"{dataset.baseline_names}")
 
-    def _prepared(self, dataset: Dataset, ids: list[str] | None
+    def _selected(self, dataset: Dataset, ids: list[str] | None
                   ) -> list[PatientCase]:
-        """The cases of ``ids`` (default: every case), normalised."""
+        """The raw cases of ``ids`` (default: every case); each chunk is
+        z-scored as it is stacked."""
         self.check_compatible(dataset)
-        if ids is not None:
-            dataset = replace(dataset, cases=dataset.subset(ids))
-        if self.normalization is not None:
-            dataset = apply_normalization(dataset, self.normalization)
-        return dataset.cases
+        return dataset.cases if ids is None else dataset.subset(ids)
 
     def score(self, dataset: Dataset, ids: list[str] | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, labels) for ``ids`` (default: every case)."""
-        cases = self._prepared(dataset, ids)
+        cases = self._selected(dataset, ids)
         labels = np.array([c.label for c in cases], dtype=np.int64)
-        return score_cases(self.store, self.config, cases), labels
+        return score_cases(self.store, self.config, cases, self.normalization), labels
 
     def decay_rates(self) -> dict[str, float]:
         """Learned per-feature decay rates (higher = forgets faster)."""
@@ -384,10 +389,10 @@ class FittedModel:
         Chunked as in ``score_cases``; each ``ta_alphas`` row has the case's
         own visit count, with the pads trimmed off.
         """
-        cases = self._prepared(dataset, ids)
+        cases = self._selected(dataset, ids)
         out: list[dict] = [{} for _ in cases]
         for idx, _, tr in _forward_chunks(self.store, self.config, cases,
-                                          collect_trace=True):
+                                          self.normalization, collect_trace=True):
             for j, i in enumerate(idx):
                 t_len = cases[i].n_visits
                 out[i] = {"id": cases[i].id, "label": cases[i].label,
@@ -428,8 +433,10 @@ def _param_value(path, name: str, shape: tuple[int, ...], params: dict) -> np.nd
             or any(type(n) is not int for n in got)):
         raise ValueError(f"{path}: parameter '{name}' has shape {json.dumps(got)}, "
                          f"the config needs {list(shape)}")
-    data = _numbers(entry["data"], True)
-    if data.dtype.kind != "f" or data.ndim != 1:
+    data = _numbers(entry["data"], False)
+    # numpy reads a ``true`` in a list of numbers as 1.0, so a flat float
+    # list is also scanned for bools, by type at C speed
+    if data.dtype.kind != "f" or data.ndim != 1 or bool in set(map(type, entry["data"])):
         raise ValueError(f"{path}: parameter '{name}' must be a list of numbers")
     try:
         data = data.reshape(shape)

@@ -662,18 +662,28 @@ def test_score_normalizes_only_the_selected_cases(monkeypatch):
     ids = ds.ids()[3:10]
     whole = apply_normalization(ds, model.normalization)
     want = score_cases(model.store, model.config, whole.subset(ids))
-    seen = []
+    raw = [(c.records.copy(), c.baseline.copy()) for c in ds.cases]
+    stacked = []
 
-    def spy(dataset, norm):
-        seen.append(len(dataset))
-        return apply_normalization(dataset, norm)
+    def spy(cases, norm=None):
+        assert norm is model.normalization
+        stacked.extend(c.id for c in cases)
+        return pad_cases(cases, norm)
 
-    monkeypatch.setattr(model_mod, "apply_normalization", spy)
+    # in one process, so that the spy sees every chunk
+    monkeypatch.setattr(model_mod, "_processes", lambda limit: 1)
+    monkeypatch.setattr(model_mod, "pad_cases", spy)
     got, labels = model.score(ds, ids)
     assert np.array_equal(got, want)
     npt.assert_array_equal(labels, [c.label for c in ds.subset(ids)])
+    # each selected case is z-scored once per call, as its chunk is stacked
+    assert sorted(stacked) == sorted(ids)
+    stacked.clear()
     model.trace_cases(ds, ids)
-    assert seen == [len(ids), len(ids)]
+    assert sorted(stacked) == sorted(ids)
+    # on copies: the dataset's own arrays keep their raw values
+    for c, (records, baseline) in zip(ds.cases, raw):
+        assert np.array_equal(c.records, records) and np.array_equal(c.baseline, baseline)
 
 
 # -- padded, chunked, tape-free inference -----------------------------------------
@@ -799,6 +809,35 @@ def test_pad_cases_is_bitwise_the_per_case_loop(lengths):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("lengths", [[7, 1, 12, 3, 7], [5], [4, 4, 4]])
+def test_pad_cases_z_scores_with_the_bits_of_apply_normalization(lengths):
+    cfg = tiny_config()
+    cases = [dataclasses.replace(make_cases(1, t, cfg, seed=70 + i)[0], id=f"p{i}")
+             for i, t in enumerate(lengths)]
+    cases[0] = dataclasses.replace(cases[0],
+                                   records=np.ascontiguousarray(cases[0].records.T).T)
+    for i, c in enumerate(cases):
+        c.baseline[1] = i % 2
+    ds = Dataset(["f0", "f1", "f2"], ["b0", "flag"], cases)
+    # statistics of other cases, so that no value z-scores to itself
+    others = make_cases(4, 3, cfg, seed=80)
+    for i, c in enumerate(others):
+        c.baseline[1] = i % 2
+    norm = fit_normalization(Dataset(ds.feature_names, ds.baseline_names, others),
+                             [c.id for c in others])
+    assert norm.baseline_is_flag.tolist() == [False, True]
+    raw = pad_cases(cases)
+    got = pad_cases(cases, norm)
+    want = pad_cases(apply_normalization(ds, norm).cases)
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) if b is None else np.array_equal(a, b)
+    assert not np.array_equal(got[0], raw[0]) and not np.array_equal(got[2], raw[2])
+    npt.assert_array_equal(got[2][:, 1], raw[2][:, 1])      # the flag passes through
+    # norm=None stacks the raw values: the cases' own arrays were not z-scored
+    for a, b in zip(pad_cases(cases, None), looped_pad_cases(cases), strict=True):
+        assert (a is None) if b is None else np.array_equal(a, b)
+
+
 def test_pad_cases_fills_pads_with_zeros():
     cfg = tiny_config()
     short, = make_cases(1, 2, cfg, seed=24)
@@ -837,6 +876,19 @@ def test_score_cases_runs_length_sorted_chunks_within_the_cell_budget(monkeypatc
     assert ad.grad_enabled()
 
 
+def sorted_chunk_plan(lengths, budget):
+    """``_chunk_plan`` ordered by Python's stable ``sorted``."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    plan, start = [], 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop - start + 1) * lengths[order[stop]] <= budget:
+            stop += 1
+        plan.append(order[start:stop])
+        start = stop
+    return plan
+
+
 @settings(max_examples=200, deadline=None)
 @given(lengths=st.lists(st.integers(1, 40), max_size=60),
        budget=st.integers(1, 120))
@@ -845,6 +897,7 @@ def test_chunk_plan_covers_every_case_once_in_length_order_within_budget(lengths
     cases = [SimpleNamespace(n_visits=t) for t in lengths]
     with mock.patch.object(model_mod, "CHUNK_CELLS", budget):
         plan = model_mod._chunk_plan(cases)
+    assert plan == sorted_chunk_plan(lengths, budget)
     flat = [i for idx in plan for i in idx]
     assert sorted(flat) == list(range(len(cases)))
     assert all(lengths[a] <= lengths[b] for a, b in zip(flat, flat[1:]))

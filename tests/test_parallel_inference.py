@@ -11,13 +11,15 @@ import sys
 import textwrap
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import carelens.model as model_mod
-from carelens.model import FittedModel, ModelConfig, fork_map, init_params
+from carelens.data import apply_normalization, fit_normalization
+from carelens.model import FittedModel, ModelConfig, fork_map, init_params, score_cases
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -82,13 +84,42 @@ def test_forked_scores_and_traces_are_bitwise_the_serial_ones(monkeypatch, forks
     assert np.array_equal(scores, want_scores)
     assert np.array_equal(labels, want_labels)
     assert [t["id"] for t in traces] == ids
+    assert_traces_equal(traces, want_traces)
+
+
+def assert_traces_equal(traces, want_traces):
+    assert len(traces) == len(want_traces)
     for got, want in zip(traces, want_traces):
-        assert got["label"] == want["label"]
+        assert got["id"] == want["id"] and got["label"] == want["label"]
         assert len(got["ta_alphas"]) == len(want["ta_alphas"])
         for a, b in zip(got["ta_alphas"], want["ta_alphas"]):
             assert np.array_equal(a, b)
         assert np.array_equal(got["head_attn"], want["head_attn"])
         assert np.array_equal(got["final_alpha"], want["final_alpha"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_normalized_scores_and_traces_are_bitwise_those_of_a_normalized_copy(
+        monkeypatch, forks, cpus):
+    # each chunk is z-scored as it is stacked, in the process that runs it;
+    # the reference z-scores the whole cohort first and runs serially
+    ds, model = small_model(60)
+    model.normalization = fit_normalization(ds, ds.ids()[:40])
+    ids = ds.ids()[::-1]
+    assert len({c.n_visits for c in ds.subset(ids)}) > 3
+    normed = apply_normalization(ds, model.normalization)
+    with monkeypatch.context() as m:
+        m.setattr(model_mod, "_processes", lambda limit: 1)
+        want_scores = score_cases(model.store, model.config, normed.subset(ids))
+        want_traces = replace(model, normalization=None).trace_cases(normed, ids)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    scores, labels = model.score(ds, ids)
+    traces = model.trace_cases(ds, ids)
+    assert len(forks) == 2 * (cpus - 1)
+    assert_no_child_left()
+    assert np.array_equal(scores, want_scores)
+    assert np.array_equal(labels, [c.label for c in normed.subset(ids)])
+    assert_traces_equal(traces, want_traces)
 
 
 def test_a_child_exception_is_raised_with_its_type_and_message(monkeypatch, forks):
@@ -300,7 +331,9 @@ def test_an_interrupt_to_the_parent_alone_ends_its_children_at_once():
         os.sched_getaffinity = lambda pid: {0, 1}
 
         def share(seconds):
-            print(os.getpid(), flush=True)
+            # one write below PIPE_BUF is atomic, so the two pid lines
+            # cannot interleave as two prints' digits and newlines can
+            os.write(1, f"{os.getpid()}\\n".encode())
             time.sleep(seconds)
 
         start = time.monotonic()

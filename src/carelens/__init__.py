@@ -9,8 +9,7 @@ and a baseline-queried attention head produces the risk score.
 
 from .autodiff import Var, layer_norm, softmax
 from .data import (Dataset, DatasetFormatError, Normalization, PatientCase,
-                   load_dataset, make_batches, normalize, save_dataset,
-                   split_folds)
+                   load_dataset, make_batches, save_dataset, split_folds)
 from .metrics import EvalReport, auprc, auroc, bootstrap_eval, min_se_pplus
 from .model import (FittedModel, ModelConfig, init_params, load_model,
                     save_model)
@@ -24,7 +23,7 @@ __all__ = [
     "Var", "softmax", "layer_norm", "ParamStore", "adam_step", "grad_check",
     "PatientCase", "Dataset", "DatasetFormatError", "Normalization",
     "load_dataset", "save_dataset",
-    "normalize", "split_folds", "make_batches", "SyntheticSpec",
+    "split_folds", "make_batches", "SyntheticSpec",
     "generate_synthetic", "ModelConfig", "FittedModel", "init_params",
     "load_model", "save_model", "auroc", "auprc", "min_se_pplus",
     "bootstrap_eval", "EvalReport", "TrainConfig", "fit", "cross_validate",

@@ -86,6 +86,15 @@ def _resolve(args, defaults: dict, types: dict) -> tuple[dict, dict]:
         raise CliError(str(exc)) from None
 
 
+def _usage(check) -> None:
+    """Run ``check``, a rule on the options alone, before any file is read:
+    its ValueError is a usage error."""
+    try:
+        check()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _write_json(path: Path, doc: dict) -> None:
     """``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -139,6 +148,7 @@ def cmd_generate(args) -> int:
         label_noise=opts["noise"], seed=opts["seed"],
         prevalence=opts["prevalence"], w_fast=opts["w_fast"],
         w_slow=opts["w_slow"], w_int=opts["w_int"])
+    _usage(spec.validate)
     dataset, manifest = generate_synthetic(spec)
     out = _out_dir(args)
     save_dataset(dataset, out / "dataset.jsonl")
@@ -152,9 +162,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     given, opts = _resolve(args, TRAIN_OPTS, TRAIN_TYPES)
-    dataset = _load_cases(args.data)
     config = TrainConfig(**opts)
-    config.validate()
+    _usage(config.validate)
+    dataset = _load_cases(args.data)
     train_ids, val_ids = split_train_val(
         dataset.ids(), dataset.labels(), config.val_fraction,
         _derive_seed(config.seed, 9))
@@ -203,8 +213,12 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     given, opts = _resolve(args, CV_OPTS, CV_TYPES)
     k = opts.pop("k")
+    if k < 2:
+        raise CliError(f"option 'k' must be at least 2, got {k}")
+    config = TrainConfig(**opts)
+    _usage(config.validate)
     dataset = _load_cases(args.data)
-    report = cross_validate(dataset, k, TrainConfig(**opts))
+    report = cross_validate(dataset, k, config)
     out = _out_dir(args)
     _write_json(out / "report.json", {"metrics": report.to_json()})
     _write_resolved(out, "cv", given, data=args.data, out=out)

@@ -121,7 +121,8 @@ class Normalization:
     def z_score(self, records: np.ndarray, baseline: np.ndarray) -> None:
         """Z-score (N, visits) records and (cases, S) baselines in place:
         element by element, so every value gets the same bits however the
-        visits and cases are grouped."""
+        visits and cases are grouped.  ``model.pad_cases`` calls it on each
+        batch it stacks, the package's one z-scoring path."""
         records -= self.feature_mean[:, None]
         records /= self.feature_std[:, None]
         baseline -= self.baseline_mean
@@ -369,27 +370,6 @@ def fit_normalization(dataset: Dataset, train_ids: Iterable[str]) -> Normalizati
     b_mean = np.where(is_flag, 0.0, base.mean(axis=0))
     b_std = np.where(is_flag, 1.0, np.maximum(base.std(axis=0), STD_FLOOR))
     return Normalization(f_mean, f_std, b_mean, b_std, is_flag)
-
-
-def apply_normalization(dataset: Dataset, norm: Normalization) -> Dataset:
-    """Z-score all cases in one pass; each case keeps its timestamps array."""
-    out = Dataset(list(dataset.feature_names), list(dataset.baseline_names), [])
-    if dataset.cases:
-        # concatenate and stack copy, so the input's arrays stay untouched;
-        # z-scoring in place allocates no temporaries, which would be freed
-        # to the system and faulted in again by the next forward pass
-        records = np.concatenate([c.records for c in dataset.cases], axis=1)
-        base = np.stack([c.baseline for c in dataset.cases])
-        norm.z_score(records, base)
-        splits = np.cumsum([c.n_visits for c in dataset.cases[:-1]])
-        out.cases = [PatientCase(c.id, b, c.timestamps, r, c.label) for c, b, r
-                     in zip(dataset.cases, base, np.split(records, splits, axis=1))]
-    return out
-
-
-def normalize(dataset: Dataset, train_ids: Iterable[str]) -> Dataset:
-    """Z-score every case with statistics fit on ``train_ids`` only."""
-    return apply_normalization(dataset, fit_normalization(dataset, train_ids))
 
 
 def split_folds(dataset: Dataset, k: int, seed: int) -> list[list[str]]:

@@ -64,15 +64,16 @@ class ModelConfig:
     def validate(self) -> None:
         for key, hint in CONFIG_TYPES.items():
             setattr(self, key, typed(f"model config '{key}'", getattr(self, key), hint))
-        if min(self.n_features, self.n_baseline, self.d, self.heads) < 1:
-            raise ValueError("model dimensions must be positive")
+        for key, ok, rule in (
+                *((k, getattr(self, k) >= 1, "at least 1")
+                  for k in ("n_features", "n_baseline", "d", "heads")),
+                ("d_ff", self.ffn_dim >= 1, "at least 1"),
+                ("ln_eps", 0 < self.ln_eps < np.inf, "finite and above 0")):
+            if not ok:
+                raise ValueError(f"model config '{key}' must be {rule}, "
+                                 f"not {getattr(self, key)!r}")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.ffn_dim < 1:
-            raise ValueError("d_ff must be positive")
-        if not 0 < self.ln_eps < np.inf:
-            raise ValueError("model config 'ln_eps' must be finite and above 0, "
-                             f"not {self.ln_eps!r}")
 
 
 CONFIG_TYPES = get_type_hints(ModelConfig)
@@ -104,8 +105,9 @@ def pad_cases(cases: list[PatientCase], norm: Normalization | None = None
     hours-back deltas, (B,S) baselines, (B,) labels and the (B,T) keep-mask,
     False at pad steps, or None when every case has T visits.  Pads hold
     0.0 in records and deltas.  With ``norm``, records and baselines are
-    z-scored by ``Normalization.z_score``, as ``apply_normalization`` does,
-    so with the same bits; the cases' own arrays stay untouched."""
+    z-scored by ``Normalization.z_score``: the package's one z-scoring path,
+    for training batches and inference chunks alike.  The cases' own arrays
+    stay untouched."""
     lengths = np.array([c.n_visits for c in cases])
     t_len = int(lengths.max())
     keep = np.arange(t_len) >= (t_len - lengths)[:, None]

@@ -1,9 +1,9 @@
 """The training loop (``train_epoch``), early stopping (``fit``) and k-fold CV.
 
 ``fit`` takes a *raw* dataset: it computes z-score statistics from the
-training ids only, carries them inside the returned model, and applies them
-to anything the model later scores.  Identical seeds give bit-identical
-models.
+training ids only, and ``pad_cases`` applies them to each training batch and
+validation chunk as it stacks it; the returned model carries them for
+anything it later scores.  Identical seeds give bit-identical models.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, apply_normalization, fit_normalization, make_batches, split_folds
+from .data import Dataset, Normalization, fit_normalization, make_batches, split_folds
 from .head import cross_entropy
 from .metrics import METRICS, EvalReport, auprc, auroc
 from .model import (FittedModel, ModelConfig, forward_batch, fork_map, init_params,
@@ -62,17 +62,18 @@ def _derive_seed(*parts: int) -> int:
 
 
 def train_epoch(store: ParamStore, dataset: Dataset, ids: list[str],
-                config: TrainConfig, epoch: int) -> dict[str, float]:
-    """One epoch of Adam steps on ``ids`` of a normalized dataset, batched by
-    ``make_batches`` for the config's seed and ``epoch``: the one training
-    loop.  Returns the case-weighted mean ``train_loss`` and ``train_ce``."""
+                config: TrainConfig, epoch: int, norm: Normalization) -> dict[str, float]:
+    """One epoch of Adam steps on ``ids`` of a raw dataset, batched by
+    ``make_batches`` for the config's seed and ``epoch`` and z-scored with
+    ``norm`` as ``pad_cases`` stacks each batch: the one training loop.
+    Returns the case-weighted mean ``train_loss`` and ``train_ce``."""
     cfg = config.model_config(dataset)
     loss_sum = ce_sum = 0.0
     seen = 0
     batches = make_batches(dataset, ids, config.batch_size,
                            _derive_seed(config.seed, 2, epoch))
     for b_idx, batch in enumerate(batches):
-        records, delta, baseline, labels, keep = pad_cases(batch)
+        records, delta, baseline, labels, keep = pad_cases(batch, norm)
         store.zero_grad()
         prob, decorr, _ = forward_batch(store, records, delta, baseline, cfg, keep=keep)
         ce = cross_entropy(prob, labels)
@@ -98,9 +99,8 @@ def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
     if set(train_ids) & set(val_ids):
         raise ValueError("train and validation splits overlap")
     norm = fit_normalization(dataset, train_ids)
-    ds = apply_normalization(dataset, norm)
     store = init_params(cfg, _derive_seed(config.seed, 1))
-    val_cases = ds.subset(val_ids)
+    val_cases = dataset.subset(val_ids)
     val_labels = np.array([c.label for c in val_cases], dtype=np.int64)
     for name, cls in (("positive", 1), ("negative", 0)):
         if not (val_labels == cls).any():
@@ -112,8 +112,8 @@ def fit(dataset: Dataset, train_ids: list[str], val_ids: list[str],
     best_snap = store.snapshot()
     stale = 0
     for epoch in range(config.max_epochs):
-        losses = train_epoch(store, ds, train_ids, config, epoch)
-        val_scores = score_cases(store, cfg, val_cases)
+        losses = train_epoch(store, dataset, train_ids, config, epoch, norm)
+        val_scores = score_cases(store, cfg, val_cases, norm)
         entry = {"epoch": epoch, **losses,
                  "val_auprc": auprc(val_scores, val_labels),
                  "val_auroc": auroc(val_scores, val_labels)}

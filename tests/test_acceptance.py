@@ -20,7 +20,7 @@ import pytest
 import carelens.autodiff as ad
 from carelens.autodiff import Var
 from carelens.context import decorrelation_total, multi_head_attention
-from carelens.data import PatientCase, apply_normalization, fit_normalization
+from carelens.data import PatientCase, fit_normalization
 from carelens.embedding import (effective_beta, time_aware_attention_batch,
                                 time_damped_scores)
 from carelens.head import cross_entropy, final_attention
@@ -368,14 +368,14 @@ def _overfit_trajectory(seed: int) -> list[float]:
     spec = SyntheticSpec(n_cases=32, n_features=4, n_baseline=3,
                          decay_profile=["fast", "fast", "slow", "slow"],
                          label_noise=0.0, seed=seed)
-    ds_raw, _ = generate_synthetic(spec)
-    ids = ds_raw.ids()
-    ds = apply_normalization(ds_raw, fit_normalization(ds_raw, ids))
+    ds, _ = generate_synthetic(spec)
+    ids = ds.ids()
+    norm = fit_normalization(ds, ids)
     config = TrainConfig(d=16, heads=2, lr=1e-2, batch_size=16, seed=seed)
     store = init_params(config.model_config(ds), _derive_seed(seed, 1))
     trajectory = []
     for epoch in range(500):
-        trajectory.append(train_epoch(store, ds, ids, config, epoch)["train_ce"])
+        trajectory.append(train_epoch(store, ds, ids, config, epoch, norm)["train_ce"])
         if trajectory[-1] < 0.05:
             break
     return trajectory
@@ -399,12 +399,12 @@ STUDY_EPOCHS = 40
 STUDY_CONFIG = dict(d=16, heads=2, lr=1e-2, batch_size=64)
 
 
-def _train_fixed_budget(ds, train_ids, config: TrainConfig) -> ParamStore:
+def _train_fixed_budget(ds, train_ids, config: TrainConfig, norm) -> ParamStore:
     """All ``config.max_epochs`` epochs (no early stop, no checkpoint
     restore), so the returned parameters are the end-of-training state."""
     store = init_params(config.model_config(ds), _derive_seed(config.seed, 1))
     for epoch in range(config.max_epochs):
-        train_epoch(store, ds, train_ids, config, epoch)
+        train_epoch(store, ds, train_ids, config, epoch, norm)
     return store
 
 
@@ -417,21 +417,21 @@ def _decay_seed(seed: int) -> dict:
                          decay_profile=["fast", "fast", "slow", "slow"],
                          label_noise=0.1, seed=seed,
                          tau_fast=6.0, tau_slow=2000.0, w_fast=2.0)
-    ds_raw, _ = generate_synthetic(spec)
-    ids = ds_raw.ids()
+    ds, _ = generate_synthetic(spec)
+    ids = ds.ids()
     order = np.random.default_rng(
         np.random.SeedSequence([seed, 77])).permutation(len(ids))
     test_ids = [ids[i] for i in order[:200]]
     train_ids = [ids[i] for i in order[360:]]
-    ds = apply_normalization(ds_raw, fit_normalization(ds_raw, train_ids))
+    norm = fit_normalization(ds, train_ids)
     test_cases = ds.subset(test_ids)
     test_labels = np.array([c.label for c in test_cases], dtype=np.int64)
     entry = {}
     for ta in (True, False):
         config = TrainConfig(time_aware=ta, max_epochs=STUDY_EPOCHS, seed=seed,
                              **STUDY_CONFIG)
-        store = _train_fixed_budget(ds, train_ids, config)
-        scores = score_cases(store, config.model_config(ds), test_cases)
+        store = _train_fixed_budget(ds, train_ids, config, norm)
+        scores = score_cases(store, config.model_config(ds), test_cases, norm)
         entry["full" if ta else "ablated"] = auroc(scores, test_labels)
         if ta:
             betas = list(FittedModel(store, config.model_config(ds), ds.feature_names,
@@ -476,17 +476,16 @@ def _interaction_gap(seed: int) -> float:
                          decay_profile=["fast", "fast", "slow", "slow"],
                          interaction=[(0, 1)], w_int=5.0, w_fast=0.0,
                          label_noise=0.1, seed=seed)
-    ds_raw, _ = generate_synthetic(spec)
-    ids = ds_raw.ids()
-    norm = fit_normalization(ds_raw, ids)
-    ds = apply_normalization(ds_raw, norm)
+    ds, _ = generate_synthetic(spec)
+    ids = ds.ids()
+    norm = fit_normalization(ds, ids)
     config = TrainConfig(max_epochs=100, seed=seed, **STUDY_CONFIG)
-    store = _train_fixed_budget(ds, ids, config)
-    model = FittedModel(store, config.model_config(ds), list(ds_raw.feature_names),
-                        list(ds_raw.baseline_names), norm, [])
-    flag_of = {c.id: int(c.baseline[1]) for c in ds_raw.cases}
+    store = _train_fixed_budget(ds, ids, config, norm)
+    model = FittedModel(store, config.model_config(ds), list(ds.feature_names),
+                        list(ds.baseline_names), norm, [])
+    flag_of = {c.id: int(c.baseline[1]) for c in ds.cases}
     weight = {0: [], 1: []}
-    for tr in model.trace_cases(ds_raw):
+    for tr in model.trace_cases(ds):
         weight[flag_of[tr["id"]]].append(float(tr["head_attn"][:, 0, -1].mean()))
     return float(np.mean(weight[1]) - np.mean(weight[0]))
 

@@ -157,10 +157,10 @@ def test_train_refuses_a_bad_rate_with_one_json_line(tmp_path, capsys, flag, val
     data = gen_dir(tmp_path, capsys, cases=20)
     code, _, err = run(capsys, "train", "--out", str(tmp_path / "run"),
                        "--data", str(data / "dataset.jsonl"), *TINY_TRAIN, flag, value)
-    assert code == 1
+    assert code == 2
     key = flag[2:].replace("-", "_")
     assert err.count("\n") == 1 and "RuntimeWarning" not in err
-    assert json.loads(err)["error"].startswith(f"ValueError: train config '{key}' must be")
+    assert json.loads(err)["error"].startswith(f"train config '{key}' must be")
     assert not (tmp_path / "run").exists()
 
 
@@ -168,10 +168,9 @@ def test_train_refuses_a_bad_rate_with_one_json_line(tmp_path, capsys, flag, val
 def test_generate_refuses_a_weight_that_is_not_finite(tmp_path, capsys, flag, value):
     code, _, err = run(capsys, "generate", "--out", str(tmp_path / "gen"),
                        "--cases", "10", flag, value)
-    assert code == 1
+    assert code == 2
     key = flag[2:].replace("-", "_")
-    assert json.loads(err) == {"error": f"ValueError: {key} must be finite, "
-                                        f"not {float(value)!r}"}
+    assert json.loads(err) == {"error": f"{key} must be finite, not {float(value)!r}"}
     assert not (tmp_path / "gen").exists()
 
 
@@ -708,9 +707,9 @@ def test_label_filter_takes_a_float_spelling_of_0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,code,why", [
-    ("generate", 1, "ValueError: seed must be at least 0, not -1"),
-    ("train", 1, "ValueError: train config 'seed' must be at least 0, not -1"),
-    ("cv", 1, "ValueError: train config 'seed' must be at least 0, not -1"),
+    ("generate", 2, "seed must be at least 0, not -1"),
+    ("train", 2, "train config 'seed' must be at least 0, not -1"),
+    ("cv", 2, "train config 'seed' must be at least 0, not -1"),
     ("eval", 2, "option 'seed' must be at least 0, got -1")])
 def test_a_negative_seed_is_refused_naming_the_field(tmp_path, capsys, command, code, why):
     # numpy's SeedSequence used to refuse it: "expected non-negative integer"
@@ -722,6 +721,37 @@ def test_a_negative_seed_is_refused_naming_the_field(tmp_path, capsys, command, 
     got, _, err = run(capsys, command, "--out", str(tmp_path / "x"), *files,
                       "--seed", "-1")
     assert got == code
+    assert json.loads(err) == {"error": why}
+    assert not (tmp_path / "x").exists()
+
+
+# -- a bad option value is a usage error before any file is read -----------------
+
+
+@pytest.mark.parametrize("command,given,why", [
+    ("train", ("--lr", "nan"), "train config 'lr' must be finite and above 0, not nan"),
+    ("train", {"batch_size": 0}, "train config 'batch_size' must be at least 1, not 0"),
+    ("train", ("--val-fraction", "1.0"), "train config 'val_fraction' must be in (0, 1), "
+                                         "not 1.0"),
+    ("cv", ("--seed", "-1"), "train config 'seed' must be at least 0, not -1"),
+    ("cv", {"patience": 0}, "train config 'patience' must be at least 1, not 0"),
+    ("cv", ("--k", "1"), "option 'k' must be at least 2, got 1"),
+    ("cv", {"k": 0}, "option 'k' must be at least 2, got 0"),
+    ("generate", ("--prevalence", "1.5"), "prevalence must be in (0, 1), not 1.5"),
+    ("generate", {"cases": 0}, "n_cases must be at least 1, not 0"),
+    ("generate", ("--profile", "fast,slow"),
+     "decay_profile must be a fast or slow tag per feature, not ['fast', 'slow']")])
+def test_a_bad_option_value_exits_2_before_any_file_is_read(tmp_path, capsys, command,
+                                                             given, why):
+    argv = given
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given), encoding="utf-8")
+        argv = ("--config", str(cfg))
+    files = () if command == "generate" else ("--data", str(tmp_path / "missing.jsonl"))
+    code, _, err = run(capsys, command, "--out", str(tmp_path / "x"), *files, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
     assert json.loads(err) == {"error": why}
     assert not (tmp_path / "x").exists()
 

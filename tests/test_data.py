@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carelens.data import (STD_FLOOR, Dataset, DatasetFormatError, PatientCase,
-                           apply_normalization, fit_normalization,
-                           load_dataset, make_batches, normalize,
+                           fit_normalization, load_dataset, make_batches,
                            save_dataset, split_folds)
+from carelens.model import FittedModel, ModelConfig, init_params, pad_cases
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None,
@@ -407,6 +407,14 @@ def test_a_case_of_the_wrong_structure_is_rejected_naming_the_field(tmp_path, sh
 # -- normalization ------------------------------------------------------------
 
 
+def z_scored(cases, norm):
+    """Each case's (records, baseline, deltas) as ``pad_cases`` z-scores and
+    stacks them, the pads cut off."""
+    records, delta, baseline, _, _ = pad_cases(cases, norm)
+    return [(r[:, -c.n_visits:], b, dt[-c.n_visits:])
+            for c, r, b, dt in zip(cases, records, baseline, delta)]
+
+
 def test_zscore_example_zero_two():
     # training values {0, 2}: mean 1, std 1, so a raw 2.0 maps to 1.0
     cases = [PatientCase("a", np.array([0.0]), np.array([0.0, 1.0]),
@@ -417,9 +425,9 @@ def test_zscore_example_zero_two():
     norm = fit_normalization(ds, ["a"])
     assert norm.feature_mean[0] == 1.0
     assert norm.feature_std[0] == 1.0
-    out = normalize(ds, ["a"])
-    npt.assert_array_equal(out.cases[0].records, [[-1.0, 1.0]])
-    npt.assert_array_equal(out.cases[1].records, [[1.0]])
+    (a, _, _), (b, _, _) = z_scored(ds.cases, norm)
+    npt.assert_array_equal(a, [[-1.0, 1.0]])
+    npt.assert_array_equal(b, [[1.0]])
 
 
 def test_stats_come_from_train_split_only():
@@ -434,9 +442,8 @@ def test_stats_come_from_train_split_only():
 
 def test_normalized_train_visits_are_standard():
     ds = make_dataset(n=20, seed=2)
-    ids = ds.ids()
-    out = normalize(ds, ids)
-    pooled = np.concatenate([c.records for c in out.cases], axis=1)
+    out = z_scored(ds.cases, fit_normalization(ds, ds.ids()))
+    pooled = np.concatenate([records for records, _, _ in out], axis=1)
     npt.assert_allclose(pooled.mean(axis=1), 0.0, atol=1e-12)
     npt.assert_allclose(pooled.std(axis=1), 1.0, atol=1e-9)
 
@@ -447,8 +454,8 @@ def test_constant_feature_hits_std_floor():
     ds = Dataset(["x"], ["b"], cases)
     norm = fit_normalization(ds, ["a"])
     assert norm.feature_std[0] == 1e-6
-    out = normalize(ds, ["a"])
-    npt.assert_array_equal(out.cases[0].records, [[0.0, 0.0]])
+    (records, _, _), = z_scored(ds.cases, norm)
+    npt.assert_array_equal(records, [[0.0, 0.0]])
 
 
 def test_binary_baselines_pass_through():
@@ -457,26 +464,31 @@ def test_binary_baselines_pass_through():
                          np.array([0.0]), rng.normal(size=(1, 1)), 0)
              for i in range(8)]
     ds = Dataset(["x"], ["age", "flag"], cases)
-    out = normalize(ds, ds.ids())
-    npt.assert_array_equal(fit_normalization(ds, ds.ids()).baseline_is_flag,
-                           [False, True])
-    flags = np.array([c.baseline[1] for c in out.cases])
-    npt.assert_array_equal(flags, [float(i % 2) for i in range(8)])
-    ages = np.array([c.baseline[0] for c in out.cases])
-    assert abs(ages.mean()) < 1e-12
+    norm = fit_normalization(ds, ds.ids())
+    npt.assert_array_equal(norm.baseline_is_flag, [False, True])
+    base = np.stack([b for _, b, _ in z_scored(ds.cases, norm)])
+    npt.assert_array_equal(base[:, 1], [float(i % 2) for i in range(8)])
+    assert abs(base[:, 0].mean()) < 1e-12
 
 
 def test_timestamps_unchanged_by_normalization():
     ds = make_dataset(n=6, seed=7)
-    out = normalize(ds, ds.ids())
-    for a, b in zip(ds.cases, out.cases):
-        npt.assert_array_equal(a.timestamps, b.timestamps)
+    stamps = [c.timestamps.copy() for c in ds.cases]
+    for c, t, (_, _, delta) in zip(ds.cases, stamps,
+                                   z_scored(ds.cases, fit_normalization(ds, ds.ids()))):
+        assert c.timestamps.tobytes() == t.tobytes()
+        assert delta.tobytes() == (t[-1] - t).tobytes()
 
 
 def test_normalizing_no_cases_gives_no_cases():
+    # an empty selection is scored and traced with nothing to stack
     ds = make_dataset(n=6, seed=7)
-    empty = Dataset(ds.feature_names, ds.baseline_names, [])
-    assert apply_normalization(empty, fit_normalization(ds, ds.ids())).cases == []
+    cfg = ModelConfig(ds.n_features, ds.n_baseline, d=4, heads=2)
+    model = FittedModel(init_params(cfg, 0), cfg, ds.feature_names, ds.baseline_names,
+                        fit_normalization(ds, ds.ids()))
+    scores, labels = model.score(ds, [])
+    assert scores.shape == labels.shape == (0,)
+    assert model.trace_cases(ds, []) == []
 
 
 # -- folds --------------------------------------------------------------------
@@ -601,13 +613,12 @@ def test_property_normalization_standardizes_the_training_split(ds, data):
     ids = ds.ids()
     train = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
     norm = fit_normalization(ds, train)
-    out = apply_normalization(ds, norm)
+    out = dict(zip(ids, z_scored(ds.cases, norm)))
     raw = ds.subset(train)
-    done = out.subset(train)
     pooled_raw = np.concatenate([c.records for c in raw], axis=1)
-    pooled = np.concatenate([c.records for c in done], axis=1)
+    pooled = np.concatenate([out[i][0] for i in train], axis=1)
     base_raw = np.stack([c.baseline for c in raw], axis=1)
-    base = np.stack([c.baseline for c in done], axis=1)
+    base = np.stack([out[i][1] for i in train], axis=1)
     flags = np.array([np.isin(r, (0.0, 1.0)).all() for r in base_raw])
     npt.assert_array_equal(norm.baseline_is_flag, flags)
     for rows_raw, rows, skip in ((pooled_raw, pooled, np.zeros(len(pooled), bool)),
@@ -618,9 +629,11 @@ def test_property_normalization_standardizes_the_training_split(ds, data):
             assert abs(r.mean()) <= 1e-12
             assert abs(r.std() - 1.0) <= 1e-12
     # flags pass through untouched, in every case, not only the training ones
-    for c_raw, c in zip(ds.cases, out.cases):
-        assert c.baseline[flags].tobytes() == c_raw.baseline[flags].tobytes()
-        assert c.timestamps.tobytes() == c_raw.timestamps.tobytes()
+    for c_raw in ds.cases:
+        _, baseline, delta = out[c_raw.id]
+        assert baseline[flags].tobytes() == c_raw.baseline[flags].tobytes()
+        t = c_raw.timestamps
+        assert delta.tobytes() == (t[-1] - t).tobytes()
     assert (norm.feature_std >= STD_FLOOR).all()
 
 
@@ -637,11 +650,12 @@ def test_property_normalization_ignores_case_order(ds, rnd):
         npt.assert_allclose(getattr(norm_s, field), getattr(norm, field),
                             rtol=1e-12, atol=1e-12, err_msg=field)
     npt.assert_array_equal(norm_s.baseline_is_flag, norm.baseline_is_flag)
-    # with the same statistics each case comes out bit for bit the same
-    by_id = {c.id: c for c in apply_normalization(ds, norm).cases}
-    for c in apply_normalization(shuffled, norm).cases:
-        for field in ("baseline", "timestamps", "records"):
-            assert getattr(c, field).tobytes() == getattr(by_id[c.id], field).tobytes()
+    # with the same statistics each case comes out bit for bit the same,
+    # whatever cases it is stacked with
+    by_id = dict(zip(ids, z_scored(ds.cases, norm)))
+    for c, got in zip(shuffled.cases, z_scored(shuffled.cases, norm)):
+        for a, b in zip(got, by_id[c.id], strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 @PROPERTY
@@ -650,11 +664,10 @@ def test_property_normalization_is_the_formula_and_keeps_its_input(ds):
     before = [(c.baseline.tobytes(), c.timestamps.tobytes(), c.records.tobytes())
               for c in ds.cases]
     norm = fit_normalization(ds, ds.ids()[:1])
-    out = apply_normalization(ds, norm)
-    for c_raw, c in zip(ds.cases, out.cases):
+    for c_raw, (records, baseline, _) in zip(ds.cases, z_scored(ds.cases, norm)):
         want = (c_raw.records - norm.feature_mean[:, None]) / norm.feature_std[:, None]
-        assert c.records.tobytes() == want.tobytes()
+        assert records.tobytes() == want.tobytes()
         want = (c_raw.baseline - norm.baseline_mean) / norm.baseline_std
-        assert c.baseline.tobytes() == want.tobytes()
+        assert baseline.tobytes() == want.tobytes()
     assert [(c.baseline.tobytes(), c.timestamps.tobytes(), c.records.tobytes())
             for c in ds.cases] == before

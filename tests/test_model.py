@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import carelens.model as model_mod
 from carelens import autodiff as ad
-from carelens.data import (Dataset, PatientCase, apply_normalization,
-                           fit_normalization)
+from carelens.data import Dataset, Normalization, PatientCase, fit_normalization
 from carelens.context import decorrelation_total
 from carelens.head import PROB_CLAMP, cross_entropy
 from carelens.model import (FittedModel, ModelConfig, forward_batch, init_params,
@@ -47,10 +46,19 @@ def make_cases(n, t_len, cfg, seed):
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         tiny_config(d=6, heads=4).validate()
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^model config 'n_features' must be at least 1"):
         tiny_config(n_features=0).validate()
     assert tiny_config(d=12, heads=3).ffn_dim == 24
     assert tiny_config(d_ff=5).ffn_dim == 5
+
+
+@pytest.mark.parametrize("key,value", [("n_features", 0), ("n_baseline", 0), ("d", 0),
+                                       ("d", -4), ("heads", 0), ("d_ff", 0),
+                                       ("d_ff", -1)])
+def test_config_validation_names_the_dimension_and_its_value(key, value):
+    with pytest.raises(ValueError) as err:
+        tiny_config(**{key: value}).validate()
+    assert str(err.value) == f"model config '{key}' must be at least 1, not {value}"
 
 
 def test_init_params_deterministic_per_seed():
@@ -641,6 +649,13 @@ def _normalized_model(n_cases, seed):
                            ds.baseline_names, norm)
 
 
+def z_scored(case: PatientCase, norm: Normalization) -> PatientCase:
+    """A copy of ``case`` z-scored by the formula."""
+    return dataclasses.replace(
+        case, records=(case.records - norm.feature_mean[:, None]) / norm.feature_std[:, None],
+        baseline=(case.baseline - norm.baseline_mean) / norm.baseline_std)
+
+
 def test_batched_traces_equal_per_case_traces_in_ids_order():
     ds, model = _normalized_model(40, seed=19)
     ids = ds.ids()[::-1][:25]
@@ -660,8 +675,8 @@ def test_batched_traces_equal_per_case_traces_in_ids_order():
 def test_score_normalizes_only_the_selected_cases(monkeypatch):
     ds, model = _normalized_model(30, seed=20)
     ids = ds.ids()[3:10]
-    whole = apply_normalization(ds, model.normalization)
-    want = score_cases(model.store, model.config, whole.subset(ids))
+    want = score_cases(model.store, model.config,
+                       [z_scored(c, model.normalization) for c in ds.subset(ids)])
     raw = [(c.records.copy(), c.baseline.copy()) for c in ds.cases]
     stacked = []
 
@@ -818,17 +833,17 @@ def test_pad_cases_z_scores_with_the_bits_of_apply_normalization(lengths):
                                    records=np.ascontiguousarray(cases[0].records.T).T)
     for i, c in enumerate(cases):
         c.baseline[1] = i % 2
-    ds = Dataset(["f0", "f1", "f2"], ["b0", "flag"], cases)
     # statistics of other cases, so that no value z-scores to itself
     others = make_cases(4, 3, cfg, seed=80)
     for i, c in enumerate(others):
         c.baseline[1] = i % 2
-    norm = fit_normalization(Dataset(ds.feature_names, ds.baseline_names, others),
+    norm = fit_normalization(Dataset(["f0", "f1", "f2"], ["b0", "flag"], others),
                              [c.id for c in others])
     assert norm.baseline_is_flag.tolist() == [False, True]
     raw = pad_cases(cases)
     got = pad_cases(cases, norm)
-    want = pad_cases(apply_normalization(ds, norm).cases)
+    # the reference: each case z-scored on its own by the formula, then stacked
+    want = pad_cases([z_scored(c, norm) for c in cases])
     for a, b in zip(got, want, strict=True):
         assert (a is None) if b is None else np.array_equal(a, b)
     assert not np.array_equal(got[0], raw[0]) and not np.array_equal(got[2], raw[2])

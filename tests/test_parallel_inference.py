@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import carelens.model as model_mod
-from carelens.data import apply_normalization, fit_normalization
+from carelens.data import Dataset, fit_normalization
 from carelens.model import FittedModel, ModelConfig, fork_map, init_params, score_cases
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 
@@ -102,12 +102,16 @@ def assert_traces_equal(traces, want_traces):
 def test_normalized_scores_and_traces_are_bitwise_those_of_a_normalized_copy(
         monkeypatch, forks, cpus):
     # each chunk is z-scored as it is stacked, in the process that runs it;
-    # the reference z-scores the whole cohort first and runs serially
+    # the reference z-scores a copy of the cohort by the formula first and
+    # runs serially
     ds, model = small_model(60)
-    model.normalization = fit_normalization(ds, ds.ids()[:40])
+    norm = model.normalization = fit_normalization(ds, ds.ids()[:40])
     ids = ds.ids()[::-1]
     assert len({c.n_visits for c in ds.subset(ids)}) > 3
-    normed = apply_normalization(ds, model.normalization)
+    normed = Dataset(ds.feature_names, ds.baseline_names, [
+        replace(c, records=(c.records - norm.feature_mean[:, None]) / norm.feature_std[:, None],
+                baseline=(c.baseline - norm.baseline_mean) / norm.baseline_std)
+        for c in ds.cases])
     with monkeypatch.context() as m:
         m.setattr(model_mod, "_processes", lambda limit: 1)
         want_scores = score_cases(model.store, model.config, normed.subset(ids))

@@ -353,3 +353,36 @@ def test_grad_leaf_build_check_sees_what_it_should():
     assert grad_leaf_builds(source, "store") == [
         "line 6: .autodiff.Var", "line 7: .autodiff.Var", "line 8: .autodiff.Var",
         "line 9: carelens.autodiff.Var"]
+
+
+def z_score_uses(source: str) -> tuple[list[str], list[str]]:
+    """Definitions of a ``z_score`` function or method in ``source``, and
+    calls of one under that name, as ``line <n>``."""
+    defs, calls = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "z_score":
+            defs.append(node.lineno)
+        elif isinstance(node, ast.Call) and "z_score" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            calls.append(node.lineno)
+    return [f"line {n}" for n in sorted(defs)], [f"line {n}" for n in sorted(calls)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_data_py_defines_z_score_and_only_model_py_calls_it(path):
+    # model.pad_cases is the one z-scoring path, for training batches and
+    # inference chunks alike; a second caller would be a second path
+    defs, calls = z_score_uses(path.read_text(encoding="utf-8"))
+    assert bool(defs) == (path.name == "data.py"), defs
+    assert bool(calls) == (path.name == "model.py"), calls
+
+
+def test_z_score_use_check_sees_what_it_should():
+    source = ("class Normalization:\n"
+              "    def z_score(self, records, baseline):\n        return None\n"
+              "def z_score(x):\n    return x\n"
+              "def stack(norm, r, b, other):\n"
+              "    norm.z_score(r, b)\n    z_score(r)\n"
+              "    other.normalization.z_score(r, b)\n"
+              "    return norm.z_score, other.z_scores(r)\n")
+    assert z_score_uses(source) == (["line 2", "line 4"], ["line 7", "line 8", "line 9"])

@@ -15,7 +15,7 @@ import pytest
 import carelens.model as model_mod
 import carelens.train as train_module
 from carelens import autodiff as ad
-from carelens.data import apply_normalization, fit_normalization
+from carelens.data import fit_normalization
 from carelens.model import ModelConfig, init_params
 from carelens.synthetic import SyntheticSpec, generate_synthetic
 from carelens.train import (TrainConfig, _derive_seed, cross_validate, fit, split_train_val,
@@ -88,14 +88,14 @@ def test_fixed_budget_epochs_are_bitwise_pinned(time_aware, digest):
                          decay_profile=["fast", "fast", "slow", "slow"],
                          label_noise=0.1, seed=0, tau_fast=6.0, tau_slow=2000.0,
                          w_fast=2.0)
-    ds_raw, _ = generate_synthetic(spec)
-    ids = ds_raw.ids()
-    ds = apply_normalization(ds_raw, fit_normalization(ds_raw, ids))
+    ds, _ = generate_synthetic(spec)
+    ids = ds.ids()
+    norm = fit_normalization(ds, ids)
     config = TrainConfig(d=16, heads=2, time_aware=time_aware, lr=1e-2, batch_size=64,
                          seed=0)
     store = init_params(config.model_config(ds), _derive_seed(0, 1))
     for epoch in range(3):
-        train_epoch(store, ds, ids, config, epoch)
+        train_epoch(store, ds, ids, config, epoch, norm)
     assert store.step_count == 57
     assert hashlib.sha256(store.flat("value").tobytes()).hexdigest() == digest
 
@@ -114,7 +114,7 @@ def test_a_non_finite_loss_raises_before_its_adam_step(monkeypatch):
     monkeypatch.setattr(train_module, "cross_entropy", nan_on_batch_1)
     store = init_params(config.model_config(ds), 0)
     with pytest.raises(RuntimeError, match="^non-finite loss at epoch 0 batch 1$"):
-        train_epoch(store, ds, train_ids, config, 0)
+        train_epoch(store, ds, train_ids, config, 0, fit_normalization(ds, train_ids))
     assert store.step_count == 1
     calls.clear()
     with pytest.raises(RuntimeError, match="^non-finite loss at epoch 0 batch 1$"):
@@ -215,6 +215,35 @@ def test_fit_normalizes_from_train_ids_only():
                            expect.feature_std)
 
 
+def test_fit_z_scores_each_batch_and_chunk_with_its_own_normalization(monkeypatch):
+    # pad_cases is the one z-scoring path: fit keeps no z-scored copy
+    ds = toy_dataset(seed=21)
+    train_ids, val_ids = split_ids(ds, 12)
+    raw = [(c.records.tobytes(), c.baseline.tobytes(), c.timestamps.tobytes())
+           for c in ds.cases]
+    stacked = {"train": [], "val": []}
+    real = model_mod.pad_cases
+
+    def spy(kind):
+        def pad_cases(cases, norm=None):
+            stacked[kind].append((norm, [c.id for c in cases]))
+            return real(cases, norm)
+        return pad_cases
+
+    # in one process, so that the spy sees every validation chunk
+    monkeypatch.setattr(model_mod, "_processes", lambda limit: 1)
+    monkeypatch.setattr(train_module, "pad_cases", spy("train"))
+    monkeypatch.setattr(model_mod, "pad_cases", spy("val"))
+    model = fit(ds, train_ids, val_ids, quick_config(max_epochs=2))
+    assert len(model.log) == 2 and model.normalization is not None
+    for kind, ids in (("train", train_ids), ("val", val_ids)):
+        assert all(norm is model.normalization for norm, _ in stacked[kind])
+        # every epoch stacks each case of its split once
+        assert sorted(i for _, batch in stacked[kind] for i in batch) == sorted(ids * 2)
+    assert [(c.records.tobytes(), c.baseline.tobytes(), c.timestamps.tobytes())
+            for c in ds.cases] == raw
+
+
 def test_train_config_validation():
     for bad in (dict(lr=0.0), dict(batch_size=0), dict(max_epochs=-1),
                 dict(patience=0), dict(lambda_decorr=-0.1),
@@ -272,8 +301,7 @@ def test_a_training_step_runs_159_tape_nodes_at_the_benchmark_setup(monkeypatch)
     ds = toy_dataset(n=8, n_features=4, min_visits=16, max_visits=16)
     config = TrainConfig(d=16, heads=2, batch_size=4, lr=1e-2)
     store = init_params(config.model_config(ds), seed=0)
-    train_epoch(store, apply_normalization(ds, fit_normalization(ds, ds.ids())),
-                ds.ids(), config, 0)
+    train_epoch(store, ds, ds.ids(), config, 0, fit_normalization(ds, ds.ids()))
     assert counts == [159, 159]
 
 
